@@ -16,6 +16,15 @@ go test -race ./internal/core/... ./internal/ptm/... ./internal/psim/... ./inter
 # packages under -race take >30 s, the smokes take ~2 s.
 go test -race -run TestRaceSmoke ./internal/shardeddb ./internal/obs
 
+# Multi-core repeat smokes: two handoff races that only showed with real
+# parallelism (the CoW combiner's round batch; a power failure armed while
+# another client's HELLO was in flight). Each runs repeatedly on one CPU and
+# on every CPU, since a race hidden at GOMAXPROCS=1 is still a defect.
+for procs in 1 "$(nproc)"; do
+    GOMAXPROCS=$procs go test -count=50 -run 'TestRaceSmoke|TestLateWriterWaitsForNextRound' ./internal/psim
+    GOMAXPROCS=$procs go test -count=10 -run TestServerCrashRestartDetectableRetries ./internal/server
+done
+
 # Bounded crash-consistency smoke: a coarse-stride sweep over every engine
 # under both crash models. The full sweeps (default stride, -nested,
 # -corrupt) are the acceptance run, not the per-commit gate.

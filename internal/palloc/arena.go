@@ -66,22 +66,31 @@ const (
 )
 
 // classBlocks and classPages derive the span geometry: blocks per span
-// (≤ 64, one bitmap word) and pages per span.
+// (≤ 64, one bitmap word) and pages per span. classLog2 and classInv split
+// each size into 2^classLog2 × odd and hold odd's inverse mod 2^64, for
+// blockIndex.
 var (
 	classBlocks [numClasses2]uint64
 	classPages  [numClasses2]uint64
+	classLog2   [numClasses2]uint8
+	classInv    [numClasses2]uint64
 	classOf     [maxSmall + 1]uint8 // request words → smallest fitting class
 )
 
 func init() {
 	for c, s := range classSizes {
-		j := uint(bits.TrailingZeros64(s))
-		if j > 6 {
-			j = 6
-		}
+		tz := uint(bits.TrailingZeros64(s))
+		j := min(tz, 6)
 		b := uint64(64) >> j
 		classBlocks[c] = b
 		classPages[c] = s * b / pageWords
+		classLog2[c] = uint8(tz)
+		odd := s >> tz
+		inv := odd // Newton's iteration doubles the correct low bits
+		for i := 0; i < 5; i++ {
+			inv *= 2 - odd*inv
+		}
+		classInv[c] = inv
 	}
 	c := 0
 	for w := 1; w <= maxSmall; w++ {
@@ -133,6 +142,19 @@ func pageAddr(m Mem, p uint64) uint64 {
 
 func listAddr(arena, class int) uint64 {
 	return Base + off2Lists + uint64(arena*numClasses2+class)
+}
+
+// blockIndex returns the index of the class-c block starting at span offset
+// off, or a number >= classBlocks[c] when off is not a block start. With
+// size = 2^j × odd, off/size is a shift and a multiply by odd's inverse mod
+// 2^64: when odd does not divide the shifted offset, the product wraps to
+// at least 2^64/odd, far beyond any block count, so one compare rejects
+// both misalignments and overruns without a division.
+func blockIndex(c int, off uint64) uint64 {
+	if off&(1<<classLog2[c]-1) != 0 {
+		return ^uint64(0)
+	}
+	return (off >> classLog2[c]) * classInv[c]
 }
 
 func fullMask(class int) uint64 {
@@ -341,6 +363,12 @@ func spanHead(m Mem, p uint64) (head uint64, e0 uint64) {
 // (one store); a span returning from full to non-full relinks into its
 // arena's class list, and a large block becomes a free run — its directory
 // words already hold the run geometry, so the kind flip is a single store.
+// A one-block span emptied by its only Free becomes a free run too, for
+// the same three stores a relink would cost: it is the shape Recover gives
+// a drained span, so crash-free traffic leaves Recover nothing to do.
+// Multi-block spans drained by Free stay on their class list instead, so
+// alloc/free churn inside a span stays at one store each way; Recover
+// compacts them when it runs.
 func arenaFree(m Mem, addr uint64) {
 	p, e0 := spanHead(m, pageOf(m, addr))
 	switch e0 & kindMask {
@@ -348,19 +376,24 @@ func arenaFree(m Mem, addr uint64) {
 		if addr != pageAddr(m, p) {
 			panic(fmt.Sprintf("palloc: Free(%d): not a block start", addr))
 		}
-		m.Store(dir0(p), kindFree|m.Load(Base+off2FreeRun)<<nextShift)
-		m.Store(Base+off2FreeRun, p)
+		pushRun(m, p)
 	case kindSpan:
 		c := classOfE(e0)
-		size := classSizes[c]
-		off := addr - pageAddr(m, p)
-		i := off / size
-		if off%size != 0 || i >= classBlocks[c] {
+		i := blockIndex(c, addr-pageAddr(m, p))
+		if i >= classBlocks[c] {
 			panic(fmt.Sprintf("palloc: Free(%d): not a block start", addr))
 		}
 		bm := m.Load(dir1(p))
 		if bm&(1<<i) == 0 {
 			panic(fmt.Sprintf("palloc: Free(%d): block already free", addr))
+		}
+		if classBlocks[c] == 1 {
+			// The run length lands before the kind flip, so every
+			// store prefix parses (the span's pages are unreachable,
+			// and Recover reclaims them at any prefix).
+			m.Store(dir1(p), npagesOfE(e0))
+			pushRun(m, p)
+			return
 		}
 		m.Store(dir1(p), bm&^(1<<i))
 		if full := fullMask(c); bm&full == full {
@@ -371,6 +404,13 @@ func arenaFree(m Mem, addr uint64) {
 	default:
 		panic(fmt.Sprintf("palloc: Free(%d): not an allocated address", addr))
 	}
+}
+
+// pushRun turns the segment headed at page p, whose second directory word
+// already holds its page count, into a free run at the head of the list.
+func pushRun(m Mem, p uint64) {
+	m.Store(dir0(p), kindFree|m.Load(Base+off2FreeRun)<<nextShift)
+	m.Store(Base+off2FreeRun, p)
 }
 
 func arenaUsableWords(m Mem, addr uint64) uint64 {

@@ -79,7 +79,7 @@ func FuzzAllocFree(f *testing.F) {
 					img.Store(s.addr, s.val)
 				}
 				_ = InUseWords(img) // every prefix must parse
-				Recover(img, preRoots)
+				recoverChecked(t, img, preRoots)
 				if err := Reconcile(img, preRoots); err != nil {
 					t.Fatalf("prefix %d/%d does not reconcile after Recover: %v", k, len(m.log), err)
 				}
@@ -140,7 +140,7 @@ func FuzzAllocFree(f *testing.F) {
 				Free(m, addr)
 				crashPrefixes(snap, preRoots, preSum)
 			case 3: // crash + recover in place
-				Recover(m, roots(published))
+				recoverChecked(t, m.flatMem, roots(published))
 				var kept []blk
 				for _, b := range live {
 					if b.published {
@@ -152,9 +152,42 @@ func FuzzAllocFree(f *testing.F) {
 			if got, want := InUseWords(m), sumAll(); got != want {
 				t.Fatalf("op %d: InUseWords %d, model %d", i/2, got, want)
 			}
-			if err := Reconcile(m, roots(func(blk) bool { return true })); err != nil {
+			all := roots(func(blk) bool { return true })
+			if err := Reconcile(m, all); err != nil {
 				t.Fatalf("op %d: live heap does not reconcile: %v", i/2, err)
+			}
+			// Crash-free traffic leaves a Recover fixed point, except
+			// for multi-block spans drained by Free (compacted lazily).
+			n := audit(m, all).Stores
+			if n != 0 && !parseHeap(m).drained() {
+				t.Fatalf("op %d: crash-free heap needs %d recovery stores", i/2, n)
+			}
+			if NeedsRecover(m, all) != (n != 0) {
+				t.Fatalf("op %d: NeedsRecover disagrees with a dry run of %d stores", i/2, n)
 			}
 		}
 	})
+}
+
+// recoverChecked runs Recover on m and checks it against its dry run: the
+// audit must predict exactly the stores Recover makes, NeedsRecover must
+// agree with it, and the recovered heap must be a fixed point.
+func recoverChecked(t *testing.T, m flatMem, roots RootEnumerator) {
+	t.Helper()
+	want := audit(m, roots).Stores
+	if NeedsRecover(m, roots) != (want != 0) {
+		t.Fatalf("NeedsRecover disagrees with a dry run of %d stores", want)
+	}
+	cm := &countMem{flatMem: m}
+	if st := Recover(cm, roots); st.Stores != want || uint64(cm.stores) != want {
+		t.Fatalf("audit predicted %d stores; Recover reported %d and made %d", want, st.Stores, cm.stores)
+	}
+	if NeedsRecover(m, roots) {
+		t.Fatalf("recovered heap is not a fixed point: audit wants %d more stores", audit(m, roots).Stores)
+	}
+}
+
+// audit is Recover's dry run: the words Recover would store, storing none.
+func audit(m Mem, roots RootEnumerator) RecoverStats {
+	return rebuild(m, parseHeap(m), roots, false)
 }

@@ -12,21 +12,25 @@ import (
 // state from it.
 type RootEnumerator func(visit func(addr uint64))
 
-// RecoverStats reports what a reachability pass changed.
+// RecoverStats reports what a reachability pass changed, or would change
+// in a dry run.
 type RecoverStats struct {
 	ReachableWords uint64 // footprint of blocks the enumerator reached
 	ReclaimedWords uint64 // previously-allocated words reclaimed as leaks
 	ReclaimedPages uint64 // whole pages returned to the free structure
+	Stores         uint64 // words written, or that a dry run would write
 }
 
-// segment is one parsed page-directory entry group.
+// segment is one parsed page-directory segment.
 type segment struct {
 	page   uint64
-	kind   int
-	class  int
-	arena  int
 	npages uint64
 	bm     uint64 // spans: occupancy bitmap at parse time
+	reach  uint64 // spans: reachable blocks; large blocks: 1 once reached
+	kind   uint8
+	class  uint8
+	arena  uint8
+	listed bool // on its free-run or class list (Recover's list checks)
 }
 
 // heapImage is a DRAM parse of an arena heap's directory.
@@ -34,8 +38,6 @@ type heapImage struct {
 	bump, numPages, pagesStart uint64
 	segs                       []segment
 	segAt                      []int32 // page-1 → index into segs
-	reachBm                    []uint64
-	reached                    []bool
 }
 
 func parseHeap(m Mem) *heapImage {
@@ -47,13 +49,13 @@ func parseHeap(m Mem) *heapImage {
 	h.segAt = make([]int32, h.bump)
 	for p := uint64(1); p <= h.bump; {
 		e0 := m.Load(dir0(p))
-		s := segment{page: p, kind: int(e0 & kindMask)}
+		s := segment{page: p, kind: uint8(e0 & kindMask)}
 		switch s.kind {
 		case kindSpan:
-			s.class = classOfE(e0)
-			s.arena = arenaOfE(e0)
+			s.class = uint8(classOfE(e0))
+			s.arena = uint8(arenaOfE(e0))
 			s.npages = npagesOfE(e0)
-			s.bm = m.Load(dir1(p)) & fullMask(s.class)
+			s.bm = m.Load(dir1(p)) & fullMask(int(s.class))
 		case kindLarge:
 			s.npages = m.Load(dir1(p))
 		case kindFree:
@@ -71,43 +73,41 @@ func parseHeap(m Mem) *heapImage {
 		}
 		p += s.npages
 	}
-	h.reachBm = make([]uint64, len(h.segs))
-	h.reached = make([]bool, len(h.segs))
 	return h
 }
 
 // mark records one reachable payload address, validating that it names a
-// block start inside an allocated segment.
+// block start inside an allocated segment that nothing reached before. It
+// runs once per reachable block on every open, so the block index avoids a
+// division (see blockIndex) and the reach mark lives in the segment itself.
 func (h *heapImage) mark(addr uint64) error {
 	if addr < h.pagesStart {
 		return fmt.Errorf("palloc: reachable address %d inside metadata", addr)
 	}
-	p := (addr-h.pagesStart)/pageWords + 1
-	if p > h.bump {
+	p := (addr - h.pagesStart) / pageWords
+	if p >= h.bump {
 		return fmt.Errorf("palloc: reachable address %d beyond claimed heap", addr)
 	}
-	s := &h.segs[h.segAt[p-1]]
-	start := h.pagesStart + (s.page-1)*pageWords
+	s := &h.segs[h.segAt[p]]
+	off := addr - h.pagesStart - (s.page-1)*pageWords
 	switch s.kind {
 	case kindSpan:
-		size := classSizes[s.class]
-		off := addr - start
-		i := off / size
-		if off%size != 0 || i >= classBlocks[s.class] {
+		i := blockIndex(int(s.class), off)
+		if i >= classBlocks[s.class] {
 			return fmt.Errorf("palloc: reachable address %d is not a block start", addr)
 		}
-		if h.reachBm[h.segAt[p-1]]&(1<<i) != 0 {
+		if s.reach&(1<<i) != 0 {
 			return fmt.Errorf("palloc: address %d reached twice", addr)
 		}
-		h.reachBm[h.segAt[p-1]] |= 1 << i
+		s.reach |= 1 << i
 	case kindLarge:
-		if addr != start {
+		if off != 0 {
 			return fmt.Errorf("palloc: reachable address %d is not a block start", addr)
 		}
-		if h.reached[h.segAt[p-1]] {
+		if s.reach != 0 {
 			return fmt.Errorf("palloc: address %d reached twice", addr)
 		}
-		h.reached[h.segAt[p-1]] = true
+		s.reach = 1
 	default:
 		return fmt.Errorf("palloc: reachable address %d in free pages", addr)
 	}
@@ -128,24 +128,61 @@ func (h *heapImage) enumerate(roots RootEnumerator) error {
 // reaches: leaked blocks (allocated but unreachable — a crash between Alloc
 // and publication) are reclaimed, empty spans and unreachable large blocks
 // return to a coalesced free-run list, the virgin frontier shrinks past a
-// free tail, and the per-arena class lists are rebuilt to hold exactly the
-// spans with free capacity. Only differing words are stored, so a clean
-// heap recovers with zero stores and Recover is idempotent. The caller runs
-// it inside a transaction (stores go through m and are logged like any
-// other), after the engine's own recovery has restored a consistent image.
-// Legacy heaps have no directory to rebuild and are left untouched.
+// free tail, and the per-arena class lists hold exactly the spans with free
+// capacity. Only differing words are stored, and a free-run or class list
+// that already holds exactly the right pages is kept in whatever order
+// traffic left it, so a heap that crash-free traffic produced recovers with
+// zero stores (see arenaFree for the one exception, a span drained by Free)
+// and Recover is idempotent. The caller runs it inside a transaction
+// (stores go through m and are logged like any other), after the engine's
+// own recovery has restored a consistent image. Legacy heaps have no
+// directory to rebuild and are left untouched.
 func Recover(m Mem, roots RootEnumerator) RecoverStats {
-	var st RecoverStats
 	if IsLegacy(m) {
-		return st
+		return RecoverStats{}
+	}
+	return rebuild(m, parseHeap(m), roots, true)
+}
+
+// NeedsRecover reports whether Recover would store anything, without
+// storing anything itself, so it can run inside a read-only transaction; a
+// heap for which it is false is a Recover fixed point. A span with no
+// allocated block settles it from the directory alone — Recover compacts
+// such a span whatever the roots reach — and otherwise it runs Recover as
+// a dry run that counts the stores it would make, panicking on the same
+// bad roots.
+func NeedsRecover(m Mem, roots RootEnumerator) bool {
+	if IsLegacy(m) {
+		return false
 	}
 	h := parseHeap(m)
+	return h.drained() || rebuild(m, h, roots, false).Stores != 0
+}
+
+// drained reports whether some span has no allocated block.
+func (h *heapImage) drained() bool {
+	for i := range h.segs {
+		if s := &h.segs[i]; s.kind == kindSpan && s.bm == 0 {
+			return true
+		}
+	}
+	return false
+}
+
+// rebuild is Recover (apply) and its dry run (!apply) over the parsed heap
+// h. Its passes never load a word an earlier pass stores, so the dry run
+// counts exactly the stores the real run makes.
+func rebuild(m Mem, h *heapImage, roots RootEnumerator, apply bool) RecoverStats {
+	var st RecoverStats
 	if err := h.enumerate(roots); err != nil {
 		panic(err.Error())
 	}
 	diff := func(addr, val uint64) {
 		if m.Load(addr) != val {
-			m.Store(addr, val)
+			st.Stores++
+			if apply {
+				m.Store(addr, val)
+			}
 		}
 	}
 	// Pass 1: settle each segment — rewrite span bitmaps to the reachable
@@ -156,24 +193,24 @@ func Recover(m Mem, roots RootEnumerator) RecoverStats {
 			free[q-1] = true
 		}
 	}
+	freeRuns := 0
 	for i := range h.segs {
 		s := &h.segs[i]
 		switch s.kind {
 		case kindSpan:
-			reach := h.reachBm[i]
 			size := classSizes[s.class]
-			st.ReachableWords += uint64(bits.OnesCount64(reach)) * size
-			if leaked := s.bm &^ reach; leaked != 0 {
+			st.ReachableWords += uint64(bits.OnesCount64(s.reach)) * size
+			if leaked := s.bm &^ s.reach; leaked != 0 {
 				st.ReclaimedWords += uint64(bits.OnesCount64(leaked)) * size
 			}
-			if reach == 0 {
+			if s.reach == 0 {
 				markFree(s)
 				st.ReclaimedPages += s.npages
 				continue
 			}
-			diff(dir1(s.page), reach)
+			diff(dir1(s.page), s.reach)
 		case kindLarge:
-			if h.reached[i] {
+			if s.reach != 0 {
 				st.ReachableWords += s.npages * pageWords
 				continue
 			}
@@ -182,51 +219,70 @@ func Recover(m Mem, roots RootEnumerator) RecoverStats {
 			markFree(s)
 		case kindFree:
 			markFree(s)
+			freeRuns++
 		}
 	}
-	// Pass 2: shrink the virgin frontier past a free tail, then write the
-	// surviving free pages back as a coalesced ascending run list.
+	// Pass 2: keep the on-media free-run list if it links exactly the
+	// free-run segments, each once, and nothing else fell free; otherwise
+	// shrink the virgin frontier past a free tail and write the free pages
+	// back as a coalesced ascending run list.
 	newBump := h.bump
-	for newBump > 0 && free[newBump-1] {
-		newBump--
-	}
-	var runs [][2]uint64 // {head page, length}
-	for p := uint64(1); p <= newBump; p++ {
-		if !free[p-1] {
-			continue
+	if st.ReclaimedPages != 0 || !h.runsIntact(m, freeRuns) {
+		for newBump > 0 && free[newBump-1] {
+			newBump--
 		}
-		q := p
-		for q+1 <= newBump && free[q] {
-			q++
+		var runs [][2]uint64 // {head page, length}
+		for p := uint64(1); p <= newBump; p++ {
+			if !free[p-1] {
+				continue
+			}
+			q := p
+			for q+1 <= newBump && free[q] {
+				q++
+			}
+			runs = append(runs, [2]uint64{p, q - p + 1})
+			p = q
 		}
-		runs = append(runs, [2]uint64{p, q - p + 1})
-		p = q
-	}
-	for i, r := range runs {
-		var next uint64
-		if i+1 < len(runs) {
-			next = runs[i+1][0]
+		for i, r := range runs {
+			var next uint64
+			if i+1 < len(runs) {
+				next = runs[i+1][0]
+			}
+			diff(dir0(r[0]), kindFree|next<<nextShift)
+			diff(dir1(r[0]), r[1])
 		}
-		diff(dir0(r[0]), kindFree|next<<nextShift)
-		diff(dir1(r[0]), r[1])
+		var runHead uint64
+		if len(runs) > 0 {
+			runHead = runs[0][0]
+		}
+		diff(Base+off2FreeRun, runHead)
+		diff(Base+off2Bump, newBump)
 	}
-	var runHead uint64
-	if len(runs) > 0 {
-		runHead = runs[0][0]
+	// Pass 3: every surviving span with free capacity belongs on its
+	// arena's class list, and full spans on none. A list that already holds
+	// exactly its spans is kept; any other is rebuilt lowest page first.
+	var want [NumArenas][numClasses2]int
+	for i := range h.segs {
+		if s := &h.segs[i]; s.kind == kindSpan && s.reach != 0 && s.reach != fullMask(int(s.class)) {
+			want[s.arena][s.class]++
+		}
 	}
-	diff(Base+off2FreeRun, runHead)
-	diff(Base+off2Bump, newBump)
-	// Pass 3: rebuild the per-arena class lists to hold exactly the
-	// surviving spans with free capacity, newest pages first.
+	var intact [NumArenas][numClasses2]bool
+	for a := 0; a < NumArenas; a++ {
+		for c := 0; c < numClasses2; c++ {
+			intact[a][c] = h.listIntact(m, a, c, free, want[a][c])
+		}
+	}
 	var heads [NumArenas][numClasses2]uint64
 	for i := len(h.segs) - 1; i >= 0; i-- {
 		s := &h.segs[i]
 		if s.kind != kindSpan || s.page > newBump || free[s.page-1] {
 			continue
 		}
-		reach := h.reachBm[i]
-		full := fullMask(s.class)
-		linked := reach&full != full
+		linked := s.reach != fullMask(int(s.class))
+		if linked && intact[s.arena][s.class] {
+			continue // listIntact checked its directory word
+		}
 		var next uint64
 		if linked {
 			next = heads[s.arena][s.class]
@@ -236,10 +292,55 @@ func Recover(m Mem, roots RootEnumerator) RecoverStats {
 	}
 	for a := 0; a < NumArenas; a++ {
 		for c := 0; c < numClasses2; c++ {
-			diff(listAddr(a, c), heads[a][c])
+			if !intact[a][c] {
+				diff(listAddr(a, c), heads[a][c])
+			}
 		}
 	}
 	return st
+}
+
+// runsIntact reports whether the on-media free-run list links exactly the
+// heap's n free-run segments, each once, by their head pages.
+func (h *heapImage) runsIntact(m Mem, n int) bool {
+	seen := 0
+	for q := m.Load(Base + off2FreeRun); q != 0; seen++ {
+		if q > h.bump || seen == n {
+			return false
+		}
+		s := &h.segs[h.segAt[q-1]]
+		e0 := m.Load(dir0(q))
+		if s.page != q || s.kind != kindFree || s.listed || e0&^nextMask != kindFree || m.Load(dir1(q)) == 0 {
+			return false
+		}
+		s.listed = true
+		q = nextOf(e0)
+	}
+	return seen == n
+}
+
+// listIntact reports whether arena a's class-c list links exactly the n
+// surviving spans of that arena and class with free capacity, each once,
+// through directory words that need no rewrite.
+func (h *heapImage) listIntact(m Mem, a, c int, free []bool, n int) bool {
+	seen := 0
+	for q := m.Load(listAddr(a, c)); q != 0; seen++ {
+		if q > h.bump || free[q-1] || seen == n {
+			return false
+		}
+		s := &h.segs[h.segAt[q-1]]
+		if s.page != q || s.kind != kindSpan || int(s.arena) != a || int(s.class) != c ||
+			s.reach == fullMask(c) || s.listed {
+			return false
+		}
+		e0 := m.Load(dir0(q))
+		if e0 != packSpan(uint64(c), uint64(a), s.npages, nextOf(e0), true) {
+			return false
+		}
+		s.listed = true
+		q = nextOf(e0)
+	}
+	return seen == n
 }
 
 // Reconcile checks an arena heap's allocation state against the blocks
@@ -262,16 +363,16 @@ func Reconcile(m Mem, roots RootEnumerator) error {
 		s := &h.segs[i]
 		switch s.kind {
 		case kindSpan:
-			if leaked := s.bm &^ h.reachBm[i]; leaked != 0 {
+			if leaked := s.bm &^ s.reach; leaked != 0 {
 				leakedBlocks += uint64(bits.OnesCount64(leaked))
 				leakedWords += uint64(bits.OnesCount64(leaked)) * classSizes[s.class]
 			}
-			if ghost := h.reachBm[i] &^ s.bm; ghost != 0 {
+			if ghost := s.reach &^ s.bm; ghost != 0 {
 				return fmt.Errorf("palloc: span at page %d: %d reachable blocks not marked allocated",
 					s.page, bits.OnesCount64(ghost))
 			}
 		case kindLarge:
-			if !h.reached[i] {
+			if s.reach == 0 {
 				leakedBlocks++
 				leakedWords += s.npages * pageWords
 			}

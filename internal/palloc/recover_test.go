@@ -1,6 +1,9 @@
 package palloc
 
-import "testing"
+import (
+	"math/bits"
+	"testing"
+)
 
 // rootsOf builds a RootEnumerator over a fixed address set.
 func rootsOf(addrs ...uint64) RootEnumerator {
@@ -72,6 +75,58 @@ func TestRecoverIsIdempotent(t *testing.T) {
 	Recover(m, roots)
 	if m.stores != 0 {
 		t.Fatalf("second Recover issued %d stores, want 0", m.stores)
+	}
+}
+
+// TestCrashFreeHeapIsRecoverFixedPoint: traffic without a crash leaves
+// nothing for Recover to store, even though Free relinks spans and pushes
+// free runs in LIFO order rather than the order Recover would build. The
+// churn frees one-block spans and large blocks (both become free runs) and
+// relinks full spans out of page order, but drains no multi-block span —
+// those stay class-owned until a Recover compacts them.
+func TestCrashFreeHeapIsRecoverFixedPoint(t *testing.T) {
+	m := &countMem{flatMem: newMem(1 << 18)}
+	Format(m, 1<<18)
+	var live []uint64
+	for i := 0; i < 600; i++ {
+		words := []uint64{3, 14, 64, 128, 4, 700}[i%6]
+		a := AllocArena(m, i%NumArenas, words)
+		if a == 0 {
+			t.Fatalf("alloc %d of %d words failed", i, words)
+		}
+		live = append(live, a)
+	}
+	// Free in a scrambled order, keeping every multi-block span non-empty.
+	for i := 0; i < len(live); i++ {
+		j := i * 7919 % len(live)
+		a := live[j]
+		if a == 0 {
+			continue
+		}
+		p, e0 := spanHead(m, pageOf(m, a))
+		if e0&kindMask == kindSpan && classBlocks[classOfE(e0)] > 1 &&
+			bits.OnesCount64(m.Load(dir1(p))) == 1 {
+			continue
+		}
+		Free(m, a)
+		live[j] = 0
+	}
+	for i := 0; i < 200; i++ {
+		live = append(live, AllocArena(m, i%NumArenas, []uint64{14, 3, 64}[i%3]))
+	}
+	roots := func(visit func(uint64)) {
+		for _, a := range live {
+			if a != 0 {
+				visit(a)
+			}
+		}
+	}
+	if NeedsRecover(m, roots) {
+		t.Fatalf("crash-free heap needs recovery: audit wants %d stores", audit(m, roots).Stores)
+	}
+	m.stores = 0
+	if st := Recover(m, roots); m.stores != 0 || st.Stores != 0 {
+		t.Fatalf("Recover stored %d words (reported %d) on a crash-free heap, want 0", m.stores, st.Stores)
 	}
 }
 

@@ -51,6 +51,9 @@ type PSim struct {
 	cur  atomic.Int32  // current area (volatile mirror of the header)
 	seq  atomic.Uint64 // even = quiescent, odd = combining
 	reqs []atomic.Pointer[desc]
+	// batch is the combining round's operation set, decided once at the
+	// start of the round; only the combiner (seq odd) touches it.
+	batch []*desc
 }
 
 // Config parameterizes the engine.
@@ -145,17 +148,22 @@ func (p *PSim) Update(tid int, fn func(ptm.Mem) uint64) uint64 {
 
 // combine is the CoW transition: if the announced batch mutates, copy the
 // object, apply the batch, flush everything, publish; a read-only batch
-// runs directly on the stable current area. tid is the combiner's thread
-// id and round the consensus round, both only used for trace events.
+// runs directly on the stable current area. The batch is the set of
+// operations announced when the round starts: one that is announced while
+// the round runs waits for the next round, so a writer can never reach the
+// apply loop of a round that decided it needs no copy. tid is the
+// combiner's thread id and round the consensus round, both only used for
+// trace events.
 func (p *PSim) combine(tid int, round uint64) {
 	p.pool.TraceEvent(obs.KindCombineBegin, tid, -1, 0, 0, round)
 	from := int(p.cur.Load())
 	src := p.area[from]
 	hasWrite := false
+	p.batch = p.batch[:0]
 	for t := 0; t < p.cfg.Threads; t++ {
-		if d := p.reqs[t].Load(); d != nil && !d.applied.Load() && !d.readOnly {
-			hasWrite = true
-			break
+		if d := p.reqs[t].Load(); d != nil && !d.applied.Load() {
+			p.batch = append(p.batch, d)
+			hasWrite = hasWrite || !d.readOnly
 		}
 	}
 	var dst *pmem.Region
@@ -167,11 +175,7 @@ func (p *PSim) combine(tid int, round uint64) {
 		p.cfg.Profile.AddCopy(since(p.cfg.Profile, copyStart))
 	}
 	lambdaStart := now(p.cfg.Profile)
-	for t := 0; t < p.cfg.Threads; t++ {
-		d := p.reqs[t].Load()
-		if d == nil || d.applied.Load() {
-			continue
-		}
+	for _, d := range p.batch {
 		if d.readOnly {
 			// Reads see the pre-batch state on the stable source
 			// area (they linearize at the start of the round).

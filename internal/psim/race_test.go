@@ -38,3 +38,33 @@ func TestRaceSmoke(t *testing.T) {
 		t.Fatalf("counter = %d, want %d (lost updates)", got, threads*perThread)
 	}
 }
+
+// TestLateWriterWaitsForNextRound announces a writer while a read-only
+// round is already applying its batch — the window between the round's scan
+// of the announce array and its apply loop. The round decided it needs no
+// copy, so the late writer must not run in it (it has no area to write);
+// it runs in the next round instead.
+func TestLateWriterWaitsForNextRound(t *testing.T) {
+	p, _ := newP(t, 2, pmem.Direct)
+	addr := ptm.RootAddr(0)
+	late := &desc{fn: func(m ptm.Mem) uint64 {
+		m.Store(addr, 42)
+		return 7
+	}}
+	p.Read(0, func(m ptm.Mem) uint64 {
+		p.reqs[1].Store(late) // thread 1 announces mid-round
+		return m.Load(addr)
+	})
+	if late.applied.Load() {
+		t.Fatal("late writer ran in the read-only round that never saw it")
+	}
+	// The next round applies it (a read in that round still sees the
+	// pre-round state); the round after that reads its store.
+	p.Read(0, func(m ptm.Mem) uint64 { return m.Load(addr) })
+	if !late.applied.Load() || late.result.Load() != 7 {
+		t.Fatalf("late writer applied=%v result=%d, want true/7", late.applied.Load(), late.result.Load())
+	}
+	if got := p.Read(0, func(m ptm.Mem) uint64 { return m.Load(addr) }); got != 42 {
+		t.Fatalf("read %d after the late writer's round, want 42", got)
+	}
+}

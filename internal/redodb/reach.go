@@ -32,11 +32,23 @@ func (db *DB) heapRoots(m ptm.Mem) palloc.RootEnumerator {
 	}
 }
 
+// auditHeap reports, from a read transaction, whether the allocator's
+// reachability pass would store anything (palloc.NeedsRecover). It is
+// false on a heap that crash-free traffic left behind, unless Free drained
+// a multi-block span, and under the legacy allocator.
+func (db *DB) auditHeap() bool {
+	return db.eng.Read(0, func(m ptm.Mem) uint64 {
+		if palloc.NeedsRecover(memShim{m}, db.heapRoots(m)) {
+			return 1
+		}
+		return 0
+	}) == 1
+}
+
 // recoverHeap runs the allocator's reachability pass inside a transaction:
 // blocks stranded between allocation and publication by a crash are
 // reclaimed, drained spans are compacted, and the class lists are rebuilt.
-// On a clean heap (every open after a clean shutdown, and every open under
-// the legacy allocator) it stores nothing.
+// Open runs it only when auditHeap finds something to store.
 func (db *DB) recoverHeap() {
 	db.eng.Update(0, func(m ptm.Mem) uint64 {
 		palloc.Recover(memShim{m}, db.heapRoots(m))

@@ -8,6 +8,17 @@
 // wait-free progress, and the store has null recovery: reopening a pool
 // after a crash adopts the last persisted state immediately ("the first
 // persistent key-value store with bounded wait-free progress").
+//
+// Open runs no update transaction on a clean heap. The engine adopts the
+// replica the persisted header names; Open then validates the map and
+// audits the allocator against the reachable blocks, both inside read
+// transactions (the audit is palloc.NeedsRecover, a dry run of the
+// reachability pass). Only when the audit finds something to store — a
+// block stranded by a crash, a span drained by Free — does Open escalate to
+// palloc.Recover in a logged update, and only a pool with no map yet runs
+// the update that creates one. The reopened engine
+// holds a single valid replica, so the first write after a restart rebuilds
+// one replica with a whole-heap copy; reads after a restart copy nothing.
 package redodb
 
 import (
@@ -130,17 +141,18 @@ func Open(pool *pmem.Pool, opts Options) *DB {
 	}
 	// Reject a structurally-corrupt recovered map with a typed error before
 	// running any transaction that would chase its pointers.
-	db.validate()
+	fresh := db.validate()
 	// Reachability pass over the arena heap: reclaim blocks a crash
-	// stranded between allocation and publication (no-op on a clean heap
-	// and on the legacy format, which has no directory to rebuild).
-	db.recoverHeap()
+	// stranded between allocation and publication. A read-only audit
+	// first; the logged pass runs only if it would store something.
+	if db.auditHeap() {
+		db.recoverHeap()
+	}
 	pool.TraceEvent(obs.KindRecoveryEnd, -1, -1, 0, 0, 0)
-	// Initialize the map on first open; a recovered pool already holds it.
+	if !fresh {
+		return db // a recovered pool already holds the map
+	}
 	db.eng.Update(0, func(m ptm.Mem) uint64 {
-		if m.Load(db.root) != 0 {
-			return 0
-		}
 		hdr := m.Alloc(3)
 		buckets := m.Alloc(minBuckets)
 		if hdr == 0 || buckets == 0 {

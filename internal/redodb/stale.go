@@ -19,13 +19,14 @@ func StaleRanges(pool *pmem.Pool) []pmem.Range {
 // structurally implausible: a root pointing outside the region, a bucket
 // count that is not a power of two, or a bucket array that overruns the
 // heap. These can only arise from corruption — the map is created whole in
-// one transaction and every later mutation is transactional.
-func (db *DB) validate() {
+// one transaction and every later mutation is transactional. It reports
+// whether the root slot is empty, i.e. Open has to create the map.
+func (db *DB) validate() (fresh bool) {
 	words := db.pool.RegionWords()
-	db.eng.Read(0, func(m ptm.Mem) uint64 {
+	return db.eng.Read(0, func(m ptm.Mem) uint64 {
 		hdr := m.Load(db.root)
 		if hdr == 0 {
-			return 0 // first open; Open formats next
+			return 1 // first open; Open creates the map next
 		}
 		if hdr+hdrCount >= words {
 			panic(pmem.Corruptf("redodb", "map header at %d outside region of %d words", hdr, words))
@@ -42,5 +43,5 @@ func (db *DB) validate() {
 			panic(pmem.Corruptf("redodb", "implausible key count %d for region of %d words", count, words))
 		}
 		return 0
-	})
+	}) == 1
 }

@@ -237,6 +237,18 @@ func runCrashRetryRound(t *testing.T, fail int64) {
 	var clock atomic.Int64
 	histories := make([][]lincheck.DurableOp, workers)
 	retries := make([]*netPending, workers)
+	// Every session is open before the failure is armed: otherwise one
+	// worker's traffic can trip the power failure while another worker's
+	// HELLO is still in flight, and that worker fails to dial at all.
+	clients := make([]*load.Client, workers)
+	for w := range clients {
+		cl, err := load.Dial(h.addr, uint64(w+1))
+		if err != nil {
+			t.Fatalf("worker %d: dial: %v", w, err)
+		}
+		defer cl.Close()
+		clients[w] = cl
+	}
 	h.g.InjectFailure(fail)
 
 	var wg sync.WaitGroup
@@ -245,12 +257,7 @@ func runCrashRetryRound(t *testing.T, fail int64) {
 		go func(tid int) {
 			defer wg.Done()
 			client := uint64(tid + 1)
-			cl, err := load.Dial(h.addr, client)
-			if err != nil {
-				t.Errorf("worker %d: dial: %v", tid, err)
-				return
-			}
-			defer cl.Close()
+			cl := clients[tid]
 			seq := uint64(0)
 			for i := 0; i < opsPerWorker; i++ {
 				key := uint64(tid*opsPerWorker+i)%netKeys + 1
