@@ -20,10 +20,23 @@ go test -race -run TestRaceSmoke ./internal/shardeddb ./internal/obs
 # parallelism (the CoW combiner's round batch; a power failure armed while
 # another client's HELLO was in flight). Each runs repeatedly on one CPU and
 # on every CPU, since a race hidden at GOMAXPROCS=1 is still a defect.
+# The sharded DB's race smokes repeat here too, since they drive the batch
+# split path from several sessions at once.
 for procs in 1 "$(nproc)"; do
     GOMAXPROCS=$procs go test -count=50 -run 'TestRaceSmoke|TestLateWriterWaitsForNextRound' ./internal/psim
     GOMAXPROCS=$procs go test -count=10 -run TestServerCrashRestartDetectableRetries ./internal/server
+    GOMAXPROCS=$procs go test -race -count=5 -run 'TestRaceSmoke|TestRaceSmokeConnBatches' ./internal/shardeddb
 done
+
+# Examples smoke: the KV example end to end, then the redodb shell's
+# file-backed store across two processes — a put must be read back by the
+# next invocation from the pool snapshots it left behind.
+go run ./examples/kvstore > /dev/null
+SMOKE_DIR=$(mktemp -d)
+go build -o "$SMOKE_DIR/redodb" ./cmd/redodb
+"$SMOKE_DIR/redodb" -db "$SMOKE_DIR/db" -words 16384 put smoke-key smoke-value
+[ "$("$SMOKE_DIR/redodb" -db "$SMOKE_DIR/db" get smoke-key)" = smoke-value ]
+rm -rf "$SMOKE_DIR"
 
 # Bounded crash-consistency smoke: a coarse-stride sweep over every engine
 # under both crash models. The full sweeps (default stride, -nested,
@@ -37,10 +50,11 @@ go run ./cmd/crashcheck -ops 8 -stride 11
 # pins the two acceptance shapes (unsharded depth-2, 8-shard) per commit.
 go run ./cmd/crashcheck -engine redodb-buffered-d2,shardeddb-buffered-8 -ops 6 -stride 1
 
-# Background-persister smoke under the race detector (PR 8): the persister
-# goroutine sealing epochs concurrently with writers, Watch registrations
-# and Sync waiters, on both the unsharded and the sharded engine.
-go test -race -run 'TestBufferedPersisterGoroutine|TestBufferedShardedPersisterGoroutine' ./internal/redodb ./internal/shardeddb
+# Background-persister smoke under the race detector: the group
+# persister goroutine (the only one; redodb seals on the calling thread)
+# sealing epochs concurrently with writers and Sync waiters, at 1 and 2
+# shards.
+go test -race -run 'TestBufferedShardedPersisterGoroutine' ./internal/shardeddb
 
 # Bounded retry-storm smoke under the race detector (PR 7): the dedup-table
 # unit tests plus one non-adversarial exactly-once storm on the unsharded
@@ -60,7 +74,7 @@ go test -race -run 'TestTraceStatsParity/redodb$' ./internal/chaos
 # per tx, and p50/p99 op latency at 1 and 8 shards (fillrandom +
 # readrandom). The four 0.25 s cells keep the whole emission well under
 # 30 s; the output file is checked in so reviewers can diff the trajectory
-# across PRs (BENCH_pr3.json holds the pre-latency trajectory).
+# across PRs (BENCH_pr4.json is the sharding trajectory of record).
 go run ./cmd/dbbench -json BENCH_pr4.json -shards 1,8 -keys 10000 -secs 0.25 -threads 4
 
 # Value-size sweep (PR 5): fillrandom pwbs/tx and allocs/op on the bulk-store

@@ -1,14 +1,17 @@
 // Command redodb is an interactive shell (and one-shot CLI) for RedoDB, the
-// wait-free durable key-value store, over a file-backed emulated-NVMM pool:
+// wait-free durable key-value store (a one-shard shardeddb), over
+// file-backed emulated-NVMM pools:
 //
-//	redodb -db /tmp/shop.pmem put user:1 alice
-//	redodb -db /tmp/shop.pmem get user:1
-//	redodb -db /tmp/shop.pmem scan user:
-//	redodb -db /tmp/shop.pmem            # interactive shell
+//	redodb -db /tmp/shop.db put user:1 alice
+//	redodb -db /tmp/shop.db get user:1
+//	redodb -db /tmp/shop.db scan user:
+//	redodb -db /tmp/shop.db            # interactive shell
 //
-// Every mutation is a durable linearizable transaction; the pool snapshot is
-// rewritten on exit (and after every one-shot command), so state survives
-// across invocations like a real persistent-memory application.
+// The -db directory holds one snapshot file per pool of the store's group
+// (pmem.Group.WriteDir). Every mutation is a durable linearizable
+// transaction; the snapshots are rewritten on exit (and after every one-shot
+// command), so state survives across invocations like a real
+// persistent-memory application.
 package main
 
 import (
@@ -20,31 +23,31 @@ import (
 	"strings"
 
 	"repro/internal/pmem"
-	"repro/internal/redodb"
+	"repro/internal/shardeddb"
 )
 
 func main() {
 	var (
-		dbPath = flag.String("db", "redodb.pmem", "pool snapshot file")
-		words  = flag.Uint64("words", 1<<20, "region size in 64-bit words for a fresh pool")
+		dbPath = flag.String("db", "redodb.db", "directory of pool snapshot files")
+		words  = flag.Uint64("words", 1<<20, "shard region size in 64-bit words for a fresh store")
 	)
 	flag.Parse()
 
-	pool, fresh, err := openPool(*dbPath, *words)
+	g, fresh, err := openGroup(*dbPath, *words)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
-	db := redodb.Open(pool, redodb.Options{Threads: 1})
+	db := shardeddb.Open(g, shardeddb.Options{Threads: 1})
 	s := db.Session(0)
 	if fresh {
-		fmt.Fprintf(os.Stderr, "created new pool (%d×%d words)\n", pool.Regions(), pool.RegionWords())
+		fmt.Fprintf(os.Stderr, "created new store (1 shard of %d-word regions)\n", *words)
 	} else {
 		fmt.Fprintf(os.Stderr, "opened %s: %d keys\n", *dbPath, s.Len())
 	}
 
 	save := func() {
-		if err := pool.WriteFile(*dbPath); err != nil {
+		if err := g.WriteDir(*dbPath); err != nil {
 			fmt.Fprintln(os.Stderr, "snapshot failed:", err)
 			os.Exit(1)
 		}
@@ -75,22 +78,20 @@ func main() {
 	fmt.Fprintln(os.Stderr, "snapshot saved to", *dbPath)
 }
 
-func openPool(path string, words uint64) (*pmem.Pool, bool, error) {
-	pool, err := pmem.ReadFile(path)
+func openGroup(dir string, words uint64) (*pmem.Group, bool, error) {
+	g, err := pmem.ReadGroupDir(dir)
 	if err == nil {
-		return pool, false, nil
+		return g, false, nil
 	}
 	if !errors.Is(err, os.ErrNotExist) {
 		return nil, false, err
 	}
-	return pmem.New(pmem.Config{
-		Mode:        pmem.Strict,
-		RegionWords: words,
-		Regions:     2, // one thread → N+1 replicas
+	return shardeddb.NewGroup(shardeddb.GroupConfig{
+		Shards: 1, Threads: 1, ShardWords: words, Mode: pmem.Strict,
 	}), true, nil
 }
 
-func run(s *redodb.Session, db *redodb.DB, args []string) int {
+func run(s *shardeddb.Session, db *shardeddb.DB, args []string) int {
 	switch args[0] {
 	case "put":
 		if len(args) != 3 {
@@ -140,11 +141,11 @@ func run(s *redodb.Session, db *redodb.DB, args []string) int {
 	case "len":
 		fmt.Println(s.Len())
 	case "stats":
-		fmt.Printf("keys=%d nvmm_used=%dB engine=%s\n",
-			s.Len(), db.NVMUsedBytes(), db.Engine().Name())
+		fmt.Printf("keys=%d shards=%d nvmm_footprint=%dB\n",
+			s.Len(), db.Shards(), db.Group().NVMBytes())
 	case "batch":
 		// batch put k1 v1 put k2 v2 del k3 … — applied atomically.
-		b := &redodb.WriteBatch{}
+		b := &shardeddb.WriteBatch{}
 		i := 1
 		for i < len(args) {
 			switch args[i] {

@@ -1,12 +1,14 @@
 // KVStore: RedoDB, the wait-free durable key-value store, through its
 // LevelDB/RocksDB-style API — puts, gets, atomic write batches, sorted
-// snapshot iterators, and crash recovery.
+// snapshot iterators, and crash recovery. The store is a one-shard
+// shardeddb, which is exactly the paper's RedoDB.
 //
-// With -db the pool is file-backed: run it twice and the second run finds
-// the first run's data, like a real PM application re-mapping its device.
+// With -db the pools are file-backed (one snapshot file per pool in the
+// directory): run it twice and the second run finds the first run's data,
+// like a real PM application re-mapping its device.
 //
 //	go run ./examples/kvstore
-//	go run ./examples/kvstore -db /tmp/redodb.pmem
+//	go run ./examples/kvstore -db /tmp/redodb.db
 package main
 
 import (
@@ -16,31 +18,29 @@ import (
 	"os"
 
 	"repro/internal/pmem"
-	"repro/internal/redodb"
+	"repro/internal/shardeddb"
 )
 
 func main() {
-	dbPath := flag.String("db", "", "optional snapshot file backing the pool")
+	dbPath := flag.String("db", "", "optional directory of snapshot files backing the pools")
 	flag.Parse()
 
 	const threads = 2
-	var pool *pmem.Pool
+	var g *pmem.Group
 	if *dbPath != "" {
-		if loaded, err := pmem.ReadFile(*dbPath); err == nil {
-			pool = loaded
-			fmt.Printf("loaded existing pool from %s\n", *dbPath)
+		if loaded, err := pmem.ReadGroupDir(*dbPath); err == nil {
+			g = loaded
+			fmt.Printf("loaded existing pools from %s\n", *dbPath)
 		} else if !errors.Is(err, os.ErrNotExist) {
 			fmt.Println("note:", err)
 		}
 	}
-	if pool == nil {
-		pool = pmem.New(pmem.Config{
-			Mode:        pmem.Strict,
-			RegionWords: 1 << 17,
-			Regions:     threads + 1,
+	if g == nil {
+		g = shardeddb.NewGroup(shardeddb.GroupConfig{
+			Shards: 1, Threads: threads, ShardWords: 1 << 17, Mode: pmem.Strict,
 		})
 	}
-	db := redodb.Open(pool, redodb.Options{Threads: threads})
+	db := shardeddb.Open(g, shardeddb.Options{Threads: threads})
 	s := db.Session(0)
 
 	// Point operations.
@@ -52,7 +52,7 @@ func main() {
 	}
 
 	// An atomic write batch: both changes or neither, durably.
-	batch := &redodb.WriteBatch{}
+	batch := &shardeddb.WriteBatch{}
 	batch.Put([]byte("city:bern"), []byte("134k"))
 	batch.Delete([]byte("city:basel"))
 	s.Write(batch)
@@ -71,22 +71,21 @@ func main() {
 
 	// Pull the plug and reopen: every completed operation survives
 	// (durable linearizability), and recovery is immediate.
-	pool.Crash(pmem.CrashConservative, nil)
+	g.Crash(pmem.CrashConservative, nil)
 	fmt.Println("simulated power failure...")
-	db = redodb.Open(pool, redodb.Options{Threads: threads})
+	db = shardeddb.Open(g, shardeddb.Options{Threads: threads})
 	s = db.Session(0)
 	fmt.Printf("recovered %d keys:\n", s.Len())
 	it = s.NewIterator()
 	for it.Next() {
 		fmt.Printf("  %s = %s\n", it.Key(), it.Value())
 	}
-	fmt.Printf("NVMM in use: %.1f KiB\n", float64(db.NVMUsedBytes())/1024)
 
 	if *dbPath != "" {
-		if err := pool.WriteFile(*dbPath); err != nil {
+		if err := g.WriteDir(*dbPath); err != nil {
 			fmt.Println("snapshot failed:", err)
 			return
 		}
-		fmt.Printf("pool snapshot written to %s — rerun to pick it up\n", *dbPath)
+		fmt.Printf("pool snapshots written to %s — rerun to pick them up\n", *dbPath)
 	}
 }

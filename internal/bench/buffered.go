@@ -4,7 +4,7 @@ import (
 	"runtime"
 
 	"repro/internal/pmem"
-	"repro/internal/redodb"
+	"repro/internal/shardeddb"
 )
 
 // Buffered-durability sweep: the tracked benchmark behind BENCH_pr8.json.
@@ -20,7 +20,7 @@ import (
 // the tail is the group-commit latency, not a lost write).
 
 // BufferedEntries measures the fillrandom baseline plus one buffered cell
-// per batch depth on an unsharded RedoDB.
+// per batch depth on a one-shard RedoDB (the paper's unsharded store).
 func BufferedEntries(cfg DBConfig, threads int, depths []int) []BenchEntry {
 	out := []BenchEntry{bufferedCell(cfg, threads, 0)}
 	for _, d := range depths {
@@ -36,17 +36,14 @@ func BufferedEntries(cfg DBConfig, threads int, depths []int) []BenchEntry {
 // baseline, depth >= 1 runs buffered with a Sync every depth ops per worker.
 func bufferedCell(cfg DBConfig, threads, depth int) BenchEntry {
 	buffered := depth > 0
-	regions := threads + 1
-	if buffered {
-		regions = threads + 2 // curComb + persister pin + a free replica
-	}
-	pool := pmem.New(pmem.Config{
-		Mode: pmem.Direct, RegionWords: cfg.Words, Regions: regions, Latency: cfg.Lat,
+	g := shardeddb.NewGroup(shardeddb.GroupConfig{
+		Shards: 1, Threads: threads, ShardWords: cfg.Words,
+		Mode: pmem.Direct, Latency: cfg.Lat, Buffered: buffered,
 	})
-	db := redodb.Open(pool, redodb.Options{
+	db := shardeddb.Open(g, shardeddb.Options{
 		Threads: threads, Buffered: buffered, PersistEvery: -1,
 	})
-	sessions := make([]*redodb.Session, threads)
+	sessions := make([]*shardeddb.Session, threads)
 	for i := range sessions {
 		sessions[i] = db.Session(i)
 	}
@@ -60,7 +57,7 @@ func bufferedCell(cfg DBConfig, threads, depth int) BenchEntry {
 	// measured depth so the log and dirty-list scratch is grown before
 	// measurement.
 	if buffered {
-		wb := &redodb.WriteBatch{}
+		wb := &shardeddb.WriteBatch{}
 		for i := uint64(0); i < cfg.Keys; i++ {
 			wb.Put(keys[i], dbValue)
 			if wb.Len() >= depth {
@@ -78,14 +75,14 @@ func bufferedCell(cfg DBConfig, threads, depth int) BenchEntry {
 			sessions[0].Put(keys[i], dbValue)
 		}
 	}
-	pool.ResetStats()
+	g.ResetStats()
 	var res Result
 	if buffered {
-		batches := make([]*redodb.WriteBatch, threads)
+		batches := make([]*shardeddb.WriteBatch, threads)
 		for i := range batches {
-			batches[i] = &redodb.WriteBatch{}
+			batches[i] = &shardeddb.WriteBatch{}
 		}
-		res = RunThroughputLat(pool, threads, cfg.Dur, func(tid, i int) {
+		res = RunThroughputLat(g, threads, cfg.Dur, func(tid, i int) {
 			b := batches[tid]
 			b.Put(keys[rngs[tid].intn(cfg.Keys)], dbValue)
 			if b.Len() >= depth {
@@ -95,7 +92,7 @@ func bufferedCell(cfg DBConfig, threads, depth int) BenchEntry {
 			}
 		})
 	} else {
-		res = RunThroughputLat(pool, threads, cfg.Dur, func(tid, i int) {
+		res = RunThroughputLat(g, threads, cfg.Dur, func(tid, i int) {
 			sessions[tid].Put(keys[rngs[tid].intn(cfg.Keys)], dbValue)
 		})
 	}

@@ -118,7 +118,7 @@ func NewRunner(name string) (*Runner, error) {
 		key := func(i int) []byte { return []byte(fmt.Sprintf("k%03d", i)) }
 		return &Runner{
 			Fresh: func(g *pmem.Group) {
-				db = redodb.Open(g.Pool(0), redodb.Options{Threads: 1, Buffered: true, PersistEvery: -1})
+				db = redodb.Open(g.Pool(0), redodb.Options{Threads: 1, Buffered: true})
 				s = db.Session(0)
 			},
 			Insert: func(i int) {

@@ -8,6 +8,7 @@ import (
 	"hash/crc64"
 	"io"
 	"os"
+	"path/filepath"
 )
 
 // File persistence: a Pool's *persisted image* can be written to and
@@ -209,4 +210,42 @@ func ReadFile(path string) (*Pool, error) {
 		return nil, fmt.Errorf("pmem: load snapshot: checksum mismatch: %w", ErrCorruptSnapshot)
 	}
 	return p, nil
+}
+
+// groupFile names member pool i's snapshot inside a group directory.
+func groupFile(dir string, i int) string {
+	return filepath.Join(dir, fmt.Sprintf("pool%d.pmem", i))
+}
+
+// WriteDir snapshots every member pool of the quiescent group into dir
+// (created if missing), pool i as pool<i>.pmem in WriteFile's format. Each
+// file is replaced atomically, but the set is not: a caller whose pools can
+// change independently must not crash between files.
+func (g *Group) WriteDir(dir string) error {
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return fmt.Errorf("pmem: snapshot: %w", err)
+	}
+	for i, p := range g.pools {
+		if err := p.WriteFile(groupFile(dir, i)); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// ReadGroupDir loads a group saved by WriteDir: pool0.pmem, pool1.pmem, …
+// up to the first missing file. A directory with no pool0.pmem fails with
+// an error wrapping os.ErrNotExist.
+func ReadGroupDir(dir string) (*Group, error) {
+	var pools []*Pool
+	for i := 0; ; i++ {
+		p, err := ReadFile(groupFile(dir, i))
+		if errors.Is(err, os.ErrNotExist) && i > 0 {
+			return NewGroup(pools...), nil
+		}
+		if err != nil {
+			return nil, err
+		}
+		pools = append(pools, p)
+	}
 }

@@ -181,3 +181,29 @@ func TestSnapshotTypedErrors(t *testing.T) {
 		t.Fatalf("durable word = %d, want 1234", got)
 	}
 }
+
+func TestGroupDirRoundTrip(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "store")
+	if _, err := ReadGroupDir(dir); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("missing directory: err = %v, want os.ErrNotExist", err)
+	}
+	g := NewGroup(
+		New(Config{Mode: Direct, RegionWords: 128, Regions: 1}),
+		New(Config{Mode: Direct, RegionWords: 256, Regions: 3}),
+	)
+	g.Pool(0).Region(0).Store(3, 11)
+	g.Pool(1).Region(2).Store(9, 22)
+	if err := g.WriteDir(dir); err != nil {
+		t.Fatal(err)
+	}
+	h, err := ReadGroupDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if h.Len() != 2 || h.Pool(1).Regions() != 3 || h.Pool(1).RegionWords() != 256 {
+		t.Fatalf("group geometry lost: %d pools", h.Len())
+	}
+	if a, b := h.Pool(0).Region(0).Load(3), h.Pool(1).Region(2).Load(9); a != 11 || b != 22 {
+		t.Fatalf("group contents lost: %d, %d", a, b)
+	}
+}

@@ -59,17 +59,15 @@ func TestHotPathAllocations(t *testing.T) {
 }
 
 // TestHotPathAllocationsBuffered pins the same steady-state budgets in
-// buffered mode, plus the persister's own seal path. The DB runs
-// caller-driven (no persister goroutine) so AllocsPerRun — which counts
-// process-global mallocs — sees only the measured path; a background
-// persister would attribute its bookkeeping to whatever pin happened to be
-// running.
+// buffered mode, plus the seal path. The engine seals only on the calling
+// thread, so AllocsPerRun — which counts process-global mallocs — sees only
+// the measured path.
 func TestHotPathAllocationsBuffered(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race-detector instrumentation allocates on the measured paths")
 	}
 	pool := pmem.New(pmem.Config{Mode: pmem.Direct, RegionWords: 1 << 16, Regions: 3})
-	db := Open(pool, Options{Threads: 1, Buffered: true, PersistEvery: -1})
+	db := Open(pool, Options{Threads: 1, Buffered: true})
 	s := db.Session(0)
 	key := []byte("alloc-key")
 	val := make([]byte, 1024)
@@ -78,7 +76,7 @@ func TestHotPathAllocationsBuffered(t *testing.T) {
 	}
 	// Warm to steady state: retained engine scratch (log chunks, dirty
 	// lists, aggregation maps) and one full persist cycle per replica so
-	// the watcher-free Persist path is also warm.
+	// the Persist path is also warm.
 	for i := 0; i < 300; i++ {
 		s.Put(key, val)
 		if i%8 == 0 {
@@ -109,8 +107,8 @@ func TestHotPathAllocationsBuffered(t *testing.T) {
 		t.Errorf("Put: %.1f allocs/op, want <= 2", a)
 	}
 	// The group-commit hot loop: commit + seal. The seal itself (dirty
-	// dedup, flush, fence, header publish, no waiting watchers) must not
-	// allocate beyond Put's own budget.
+	// dedup, flush, fence, header publish) must not allocate beyond Put's
+	// own budget.
 	if a := testing.AllocsPerRun(200, func() {
 		s.Put(key, val)
 		db.Persist()
@@ -118,7 +116,7 @@ func TestHotPathAllocationsBuffered(t *testing.T) {
 		t.Errorf("Put+Persist: %.1f allocs/op, want <= 2 (Persist must be allocation-free)", a)
 	}
 	// Sync on an already-durable epoch is the fast path out of every
-	// PutDurable pair: a pair of atomic loads, no allocations.
+	// Put+Sync pair: a pair of atomic loads, no allocations.
 	if a := testing.AllocsPerRun(200, func() {
 		s.Sync()
 	}); a != 0 {

@@ -31,14 +31,14 @@ func TestWriteBatchCrashAtomicity(t *testing.T) {
 			s := db.Session(0)
 			pool.InjectFailure(fail)
 			for b := 0; b < batches; b++ {
-				batch := &WriteBatch{}
+				var batch []Op
 				for i := 0; i < perBatch; i++ {
-					batch.Put(
-						[]byte(fmt.Sprintf("b%02d-k%d", b, i)),
-						[]byte(fmt.Sprintf("v%d", b)),
-					)
+					batch = append(batch, Op{
+						Key: []byte(fmt.Sprintf("b%02d-k%d", b, i)),
+						Val: []byte(fmt.Sprintf("v%d", b)),
+					})
 				}
-				s.Write(batch)
+				s.Write(batch, -1, 0)
 				completed++
 			}
 		}()

@@ -103,38 +103,21 @@ func (s *Session) DeleteDetectable(client, seq uint64, key []byte) bool {
 	return s.finishDetectable(res, client, seq)
 }
 
-// WriteDetectable applies a batch exactly once for request (client, seq):
-// the whole batch and its receipt commit in one durable transaction.
-func (s *Session) WriteDetectable(b *WriteBatch, client, seq uint64) bool {
-	return s.writeDetectable(b.clone(), -1, 0, client, seq, BatchDigest(b))
-}
-
-// WriteTaggedDetectable is WriteDetectable with a WriteTagged-style shard
-// tag in the same transaction: the sharded front-end's coordinator uses it
-// on the receipt's home shard, so a roll-forward that replays the sub-batch
-// (guarded by the tag) re-records the receipt atomically with it. digest
-// must be the BatchDigest of the FULL cross-shard batch, not the sub-batch.
-func (s *Session) WriteTaggedDetectable(b *WriteBatch, tagSlot int, tag, client, seq, digest uint64) bool {
-	return s.writeDetectable(b.clone(), tagSlot, tag, client, seq, digest)
-}
-
-func (s *Session) writeDetectable(ops []batchOp, tagSlot int, tag, client, seq, digest uint64) bool {
+// WriteDetectable applies ops exactly once for request (client, seq): the
+// whole batch and its receipt commit in one durable transaction, together
+// with a Write-style tag when tagSlot >= 0. The sharded front-end's
+// coordinator tags the receipt's home shard, so a roll-forward that replays
+// the sub-batch (guarded by the tag) re-records the receipt atomically with
+// it. digest must be the BatchDigest of the FULL cross-shard batch, not the
+// sub-batch. Ownership of ops passes to the call, as in Write.
+func (s *Session) WriteDetectable(ops []Op, tagSlot int, tag, client, seq, digest uint64) bool {
 	root := s.db.root
 	dt := s.db.detect
-	tagAddr := uint64(0)
-	if tagSlot >= 0 {
-		tagAddr = ptm.RootAddr(tagSlot)
-	}
+	tagAddr := tagAddrOf(tagSlot)
 	res := s.db.eng.Update(s.tid, func(m ptm.Mem) uint64 {
 		r := checkReceipt(m, dt, client, seq, digest)
 		if r == detApplied {
-			for _, op := range ops {
-				if op.del {
-					deleteLocked(m, root, op.key)
-				} else {
-					putLocked(m, root, op.key, op.val)
-				}
-			}
+			applyOps(m, root, ops)
 			dt.Record(m, client, seq, digest)
 		}
 		if r != detMismatch && tagAddr != 0 {
@@ -200,14 +183,14 @@ func (s *Session) DetectStats(client uint64) (receipts, maxSeq, acked uint64) {
 // BatchDigest fingerprints a batch's operations for its receipt: op kinds,
 // keys and values folded in order, so a retry presenting different contents
 // under the same (client, seq) is detectable.
-func BatchDigest(b *WriteBatch) uint64 {
-	h := detect.Digest(opBatch, nil, uint64(len(b.ops)))
-	for _, op := range b.ops {
+func BatchDigest(ops []Op) uint64 {
+	h := detect.Digest(opBatch, nil, uint64(len(ops)))
+	for _, op := range ops {
 		tag := opPut
-		if op.del {
+		if op.Del {
 			tag = opDelete
 		}
-		h ^= detect.Digest(tag, op.key, detect.Digest(0, op.val, h))
+		h ^= detect.Digest(tag, op.Key, detect.Digest(0, op.Val, h))
 		h *= 1099511628211
 	}
 	if h == 0 {

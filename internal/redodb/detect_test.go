@@ -59,14 +59,16 @@ func TestDetectableBatchDedup(t *testing.T) {
 	s := db.Session(0)
 	const client = 9
 
-	b := &WriteBatch{}
-	b.Put([]byte("x"), []byte("1"))
-	b.Put([]byte("y"), []byte("2"))
-	b.Delete([]byte("z"))
-	if !s.WriteDetectable(b, client, 1) {
+	b := []Op{
+		{Key: []byte("x"), Val: []byte("1")},
+		{Key: []byte("y"), Val: []byte("2")},
+		{Key: []byte("z"), Del: true},
+	}
+	digest := BatchDigest(b)
+	if !s.WriteDetectable(b, -1, 0, client, 1, digest) {
 		t.Fatal("first WriteDetectable reported dedup")
 	}
-	if s.WriteDetectable(b, client, 1) {
+	if s.WriteDetectable(b, -1, 0, client, 1, digest) {
 		t.Fatal("retried WriteDetectable applied twice")
 	}
 	if v, _ := s.Get([]byte("x")); string(v) != "1" {

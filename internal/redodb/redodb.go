@@ -1,8 +1,12 @@
-// Package redodb implements RedoDB, the paper's wait-free in-memory
-// key-value store with durable linearizable transactions (§6): a resizable
-// persistent hash map annotated with the transactional semantics of
-// RedoOpt-PTM, extended with iterator capabilities, offering a
-// LevelDB/RocksDB-style API (Put/Get/Delete/WriteBatch/Iterator).
+// Package redodb is the per-shard engine behind the sharded KV store:
+// RedoDB, the paper's wait-free in-memory key-value store with durable
+// linearizable transactions (§6) — a resizable persistent hash map annotated
+// with the transactional semantics of RedoOpt-PTM. Applications use
+// internal/shardeddb, whose one-shard configuration is exactly the paper's
+// RedoDB; this package exports only what the sharded front-end calls on each
+// shard: the map's point operations, tagged and detectable batch writes with
+// their receipts, a tagged snapshot read, the caller-driven epoch persister,
+// and the recovery and allocator audits. It starts no goroutine.
 //
 // Every operation is a durable linearizable transaction with bounded
 // wait-free progress, and the store has null recovery: reopening a pool
@@ -22,7 +26,7 @@
 package redodb
 
 import (
-	"time"
+	"sync"
 
 	"repro/internal/core/redo"
 	"repro/internal/detect"
@@ -50,36 +54,25 @@ const (
 	minBuckets = 64
 )
 
+// Root slots of the per-shard engine. Slot 1 belongs to the caller: the
+// sharded front-end keeps each shard's batch tag there (Write's tagSlot).
+const (
+	mapRootSlot    = 0 // the hash map header
+	detectRootSlot = 2 // the request-dedup table behind the detectable writes
+)
+
 // Options parameterizes Open.
 type Options struct {
 	// Threads is the number of concurrent sessions (thread ids).
 	Threads int
-	// RootSlot is the persistent root slot holding the map (default 0).
-	RootSlot int
-	// DetectRootSlot is the persistent root slot holding the request-dedup
-	// table behind the detectable-operation API (default 2; slot 1 is the
-	// sharded front-end's batch tag). It must differ from RootSlot.
-	DetectRootSlot int
-	// Variant selects the underlying construction (default RedoOpt-PTM,
-	// as in the paper).
-	Variant redo.Variant
-	// RingSize forwards to the engine (default 128).
-	RingSize int
-	// Features, when non-nil, overrides the Variant's optimization preset
+	// Features, when non-nil, overrides RedoOpt-PTM's optimization preset
 	// (ablation studies — e.g. the bulk-store vs word-store comparison).
 	Features *redo.Features
-	// Profile, when non-nil, accumulates the engine's phase breakdown.
-	Profile *ptm.Profile
 	// Buffered selects relaxed durability (group commit): operations
-	// commit into an in-flight epoch and become durable when the
-	// persister advances the watermark — see buffered.go. Requires a
+	// commit into an in-flight epoch and become durable when Persist or
+	// Sync seals it on the calling thread — see buffered.go. Requires a
 	// pool with at least 3 regions (Threads+2 recommended).
 	Buffered bool
-	// PersistEvery sets the background persister cadence in buffered
-	// mode: 0 means the 200µs default, negative disables the goroutine
-	// entirely (caller-driven: Sync/Persist seal epochs on the calling
-	// thread — deterministic, for crash sweeps and alloc pins).
-	PersistEvery time.Duration
 	// LegacyAlloc formats fresh heaps with the legacy power-of-two
 	// allocator — the Fig-8 space baseline with its 2× rounding waste,
 	// 4–6 logged stores per Alloc and leak-on-crash behavior — instead of
@@ -89,55 +82,37 @@ type Options struct {
 
 // DB is a RedoDB instance.
 type DB struct {
-	eng    *redo.Redo
-	pool   *pmem.Pool
-	root   uint64
-	detect detect.Table
-	buf    *buffered // nil in synchronous mode
+	eng      *redo.Redo
+	pool     *pmem.Pool
+	root     uint64
+	detect   detect.Table
+	buffered bool
+	// persistMu serializes eng.Persist (single-caller contract) between
+	// concurrent Syncs and an external persister.
+	persistMu sync.Mutex
 }
 
 // Open creates or recovers a RedoDB over pool. The pool should have
-// Threads+1 regions (the engine's replica bound). Defaults: RedoOpt-PTM.
+// Threads+1 regions (the engine's replica bound). The engine is
+// RedoOpt-PTM, as in the paper.
 func Open(pool *pmem.Pool, opts Options) *DB {
 	if opts.Threads <= 0 {
 		opts.Threads = 1
 	}
-	if opts.Variant == 0 {
-		opts.Variant = redo.Opt
-	}
-	if opts.DetectRootSlot == 0 {
-		opts.DetectRootSlot = 2
-	}
-	if opts.DetectRootSlot == opts.RootSlot {
-		panic("redodb: DetectRootSlot must differ from RootSlot")
-	}
 	pool.TraceEvent(obs.KindRecoveryBegin, -1, -1, 0, 0, 0)
 	eng := redo.New(pool, redo.Config{
 		Threads:     opts.Threads,
-		RingSize:    opts.RingSize,
-		Variant:     opts.Variant,
+		Variant:     redo.Opt,
 		Features:    opts.Features,
-		Profile:     opts.Profile,
 		Buffered:    opts.Buffered,
 		LegacyAlloc: opts.LegacyAlloc,
 	})
 	db := &DB{
-		eng:    eng,
-		pool:   pool,
-		root:   ptm.RootAddr(opts.RootSlot),
-		detect: detect.Table{RootSlot: opts.DetectRootSlot},
-	}
-	if opts.Buffered {
-		db.buf = &buffered{kick: make(chan struct{}, 1)}
-		if opts.PersistEvery >= 0 {
-			every := opts.PersistEvery
-			if every == 0 {
-				every = defaultPersistEvery
-			}
-			db.buf.stop = make(chan struct{})
-			db.buf.done = make(chan struct{})
-			go db.persistLoop(every)
-		}
+		eng:      eng,
+		pool:     pool,
+		root:     ptm.RootAddr(mapRootSlot),
+		detect:   detect.Table{RootSlot: detectRootSlot},
+		buffered: opts.Buffered,
 	}
 	// Reject a structurally-corrupt recovered map with a typed error before
 	// running any transaction that would chase its pointers.

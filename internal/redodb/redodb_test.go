@@ -7,7 +7,6 @@ import (
 	"sync"
 	"testing"
 
-	"repro/internal/core/redo"
 	"repro/internal/pmem"
 )
 
@@ -116,6 +115,8 @@ func TestResizeKeepsEverything(t *testing.T) {
 	}
 }
 
+// TestWriteBatchIsAtomic pins the per-shard engine's batch write: one Write
+// applies all of its ops in one transaction, even under concurrent writers.
 func TestWriteBatchIsAtomic(t *testing.T) {
 	const threads = 4
 	db, _ := openDB(t, threads, pmem.Direct, 1<<20)
@@ -131,10 +132,10 @@ func TestWriteBatchIsAtomic(t *testing.T) {
 			for i := 0; i < 100; i++ {
 				// Move one unit between accounts atomically; the
 				// batch gets both puts or neither.
-				b := &WriteBatch{}
-				b.Put([]byte("acct-a"), []byte{byte(i)})
-				b.Put([]byte("acct-b"), []byte{100 - byte(i)})
-				s.Write(b)
+				s.Write([]Op{
+					{Key: []byte("acct-a"), Val: []byte{byte(i)}},
+					{Key: []byte("acct-b"), Val: []byte{100 - byte(i)}},
+				}, -1, 0)
 			}
 		}(tid)
 	}
@@ -151,22 +152,18 @@ func TestWriteBatchDelete(t *testing.T) {
 	db, _ := openDB(t, 1, pmem.Direct, 1<<18)
 	s := db.Session(0)
 	s.Put([]byte("x"), []byte("1"))
-	b := &WriteBatch{}
-	b.Delete([]byte("x"))
-	b.Put([]byte("y"), []byte("2"))
-	if b.Len() != 2 {
-		t.Fatalf("batch Len = %d", b.Len())
-	}
-	s.Write(b)
+	s.Write([]Op{
+		{Key: []byte("x"), Del: true},
+		{Key: []byte("y"), Val: []byte("2")},
+	}, 1, 7)
 	if _, ok := s.Get([]byte("x")); ok {
 		t.Fatal("x survived batch delete")
 	}
 	if v, ok := s.Get([]byte("y")); !ok || string(v) != "2" {
 		t.Fatal("y missing after batch")
 	}
-	b.Clear()
-	if b.Len() != 0 {
-		t.Fatal("Clear did not empty the batch")
+	if tag := s.TagAt(1); tag != 7 {
+		t.Fatalf("batch tag = %d, want 7", tag)
 	}
 }
 
@@ -246,6 +243,8 @@ func TestConcurrentGetDuringWrites(t *testing.T) {
 	<-done
 }
 
+// TestIterator pins the snapshot read behind the sharded iterator: pairs in
+// ascending key order, appended to dst, with the tag of the same read.
 func TestIterator(t *testing.T) {
 	db, _ := openDB(t, 1, pmem.Direct, 1<<20)
 	s := db.Session(0)
@@ -253,48 +252,44 @@ func TestIterator(t *testing.T) {
 	for i, k := range keys {
 		s.Put([]byte(k), []byte(fmt.Sprintf("v%d", i)))
 	}
-	it := s.NewIterator()
-	if it.Len() != len(keys) {
-		t.Fatalf("iterator Len = %d, want %d", it.Len(), len(keys))
+	s.Write(nil, 1, 42)
+	pairs, tag := s.SnapshotTagged([]KV{{Key: []byte("prefix")}}, 1)
+	if tag != 42 {
+		t.Fatalf("snapshot tag = %d, want 42", tag)
+	}
+	if len(pairs) != 1+len(keys) || string(pairs[0].Key) != "prefix" {
+		t.Fatalf("snapshot did not append to dst: %d pairs", len(pairs))
 	}
 	var got []string
-	for it.Next() {
-		got = append(got, string(it.Key()))
+	for _, p := range pairs[1:] {
+		got = append(got, string(p.Key))
 	}
 	want := []string{"alpha", "bravo", "charlie", "delta", "echo"}
 	for i := range want {
 		if got[i] != want[i] {
-			t.Fatalf("iteration order %v, want %v", got, want)
+			t.Fatalf("snapshot order %v, want %v", got, want)
 		}
 	}
-	if it.Valid() {
-		t.Fatal("iterator valid after exhaustion")
-	}
-	// Seek.
-	if !it.Seek([]byte("c")) {
-		t.Fatal("Seek(c) found nothing")
-	}
-	if string(it.Key()) != "charlie" {
-		t.Fatalf("Seek(c) at %q, want charlie", it.Key())
-	}
-	if it.Seek([]byte("zzz")) {
-		t.Fatal("Seek(zzz) found a key")
+	if string(pairs[3].Val) != "v2" {
+		t.Fatalf("charlie = %q, want v2", pairs[3].Val)
 	}
 }
 
+// TestIteratorIsSnapshot pins that a snapshot shares no memory with the
+// store: later writes do not disturb pairs already returned.
 func TestIteratorIsSnapshot(t *testing.T) {
 	db, _ := openDB(t, 1, pmem.Direct, 1<<20)
 	s := db.Session(0)
 	s.Put([]byte("a"), []byte("1"))
-	it := s.NewIterator()
+	pairs, _ := s.SnapshotTagged(nil, 1)
 	s.Put([]byte("b"), []byte("2"))
+	s.Put([]byte("a"), []byte("X"))
 	s.Delete([]byte("a"))
-	if it.Len() != 1 {
-		t.Fatalf("snapshot sees %d keys, want 1", it.Len())
+	if len(pairs) != 1 {
+		t.Fatalf("snapshot sees %d keys, want 1", len(pairs))
 	}
-	it.Next()
-	if string(it.Key()) != "a" || string(it.Value()) != "1" {
-		t.Fatalf("snapshot pair = %q:%q", it.Key(), it.Value())
+	if string(pairs[0].Key) != "a" || string(pairs[0].Val) != "1" {
+		t.Fatalf("snapshot pair = %q:%q", pairs[0].Key, pairs[0].Val)
 	}
 }
 
@@ -389,12 +384,4 @@ func TestSessionValidation(t *testing.T) {
 		}
 	}()
 	db.Session(2)
-}
-
-func TestVariantOverride(t *testing.T) {
-	pool := pmem.New(pmem.Config{RegionWords: 1 << 16, Regions: 2})
-	db := Open(pool, Options{Threads: 1, Variant: redo.Timed})
-	if got := db.Engine().Name(); got != "RedoTimed-PTM" {
-		t.Fatalf("engine = %s, want RedoTimed-PTM", got)
-	}
 }

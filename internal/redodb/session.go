@@ -134,93 +134,59 @@ func (s *Session) Len() uint64 {
 	})
 }
 
-// Write applies a batch of operations as one atomic durable transaction —
-// the LevelDB WriteBatch semantics, here with serializable isolation.
-func (s *Session) Write(b *WriteBatch) {
-	ops := b.clone()
+// Op is one write of a batch: a put of Val under Key, or, with Del set, a
+// delete of Key.
+type Op struct {
+	Key, Val []byte
+	Del      bool
+}
+
+// applyOps applies ops in order inside an update transaction; later ops on
+// the same key win.
+func applyOps(m ptm.Mem, root uint64, ops []Op) {
+	for _, op := range ops {
+		if op.Del {
+			deleteLocked(m, root, op.Key)
+		} else {
+			putLocked(m, root, op.Key, op.Val)
+		}
+	}
+}
+
+// Write applies ops as one atomic durable transaction and, when tagSlot >= 0,
+// records tag in persistent root slot tagSlot in the same transaction. A
+// multi-shard coordinator tags each shard's sub-batch with the batch
+// sequence number: after a crash, the recovered tag tells exactly which
+// sub-batches were already applied, making replay idempotent. tagSlot must
+// not be a slot the engine owns (0 and 2).
+//
+// Write takes ownership of ops and the bytes they reference: the closure may
+// be re-executed by helpers, so the caller must not modify them afterwards.
+func (s *Session) Write(ops []Op, tagSlot int, tag uint64) {
 	root := s.db.root
+	tagAddr := tagAddrOf(tagSlot)
 	s.db.eng.Update(s.tid, func(m ptm.Mem) uint64 {
-		for _, op := range ops {
-			if op.del {
-				deleteLocked(m, root, op.key)
-			} else {
-				putLocked(m, root, op.key, op.val)
-			}
+		applyOps(m, root, ops)
+		if tagAddr != 0 {
+			m.Store(tagAddr, tag)
 		}
 		return 0
 	})
 }
 
-// WriteTagged applies a batch like Write and, in the same atomic durable
-// transaction, records tag in persistent root slot tagSlot. A multi-shard
-// coordinator tags each shard's sub-batch with the batch sequence number:
-// after a crash, the recovered tag tells exactly which sub-batches were
-// already applied, making replay idempotent. The slot must be distinct from
-// the map's RootSlot.
-func (s *Session) WriteTagged(b *WriteBatch, tagSlot int, tag uint64) {
-	ops := b.clone()
-	root := s.db.root
-	tagAddr := ptm.RootAddr(tagSlot)
-	s.db.eng.Update(s.tid, func(m ptm.Mem) uint64 {
-		for _, op := range ops {
-			if op.del {
-				deleteLocked(m, root, op.key)
-			} else {
-				putLocked(m, root, op.key, op.val)
-			}
-		}
-		m.Store(tagAddr, tag)
+// tagAddrOf maps a Write tag slot to its root address (0: no tag).
+func tagAddrOf(tagSlot int) uint64 {
+	if tagSlot < 0 {
 		return 0
-	})
+	}
+	return ptm.RootAddr(tagSlot)
 }
 
-// TagAt returns the tag last recorded in root slot tagSlot by WriteTagged
+// TagAt returns the tag last recorded in root slot tagSlot by Write
 // (0 if never written).
 func (s *Session) TagAt(tagSlot int) uint64 {
 	tagAddr := ptm.RootAddr(tagSlot)
 	return s.db.eng.Read(s.tid, func(m ptm.Mem) uint64 {
 		return m.Load(tagAddr)
 	})
-}
-
-// WriteBatch collects Put/Delete operations for atomic application.
-type WriteBatch struct {
-	ops []batchOp
-}
-
-type batchOp struct {
-	key, val []byte
-	del      bool
-}
-
-// Put queues an insertion/overwrite.
-func (b *WriteBatch) Put(key, value []byte) {
-	b.ops = append(b.ops, batchOp{
-		key: append([]byte(nil), key...),
-		val: append([]byte(nil), value...),
-	})
-}
-
-// Delete queues a deletion.
-func (b *WriteBatch) Delete(key []byte) {
-	b.ops = append(b.ops, batchOp{key: append([]byte(nil), key...), del: true})
-}
-
-// Len reports the number of queued operations.
-func (b *WriteBatch) Len() int { return len(b.ops) }
-
-// Clear empties the batch for reuse. The elements are zeroed before the
-// truncation: a plain b.ops[:0] would keep every queued key and value alive
-// through the retained backing array for as long as the batch is reused.
-func (b *WriteBatch) Clear() {
-	clear(b.ops)
-	b.ops = b.ops[:0]
-}
-
-// clone snapshots the operations; the transaction closure may be
-// re-executed by helpers, so it must not alias caller-mutable state.
-func (b *WriteBatch) clone() []batchOp {
-	out := make([]batchOp, len(b.ops))
-	copy(out, b.ops)
-	return out
 }

@@ -8,25 +8,20 @@ import "repro/internal/redodb"
 // buffers (which the next read overwrites) is safe, and a reused batch costs
 // amortized zero allocations per op instead of two.
 //
-// Ownership contract (the per-connection reuse audit, PR 9): Write,
+// Ownership contract (the per-connection reuse audit): Write,
 // WriteDurable, and WriteDetectable must not retain any reference into the
 // batch — arena bytes included — past their return. They hold that contract
 // by copying at every boundary that outlives the call: split() copies each
-// op's bytes into fresh per-shard redodb batches (whose own Put snapshots
-// them for helper re-execution), and the coordinator intent serializes the
-// ops into its payload buffer. Clear may therefore recycle the arena
-// immediately; the contract is pinned by TestWriteBatchArenaReuse and the
-// pipelined-connection race smoke in internal/server. A batch still must
-// not be MUTATED concurrently with a Write that was handed the same *batch*
-// from another goroutine — same rule as redodb.WriteBatch.
+// op's bytes once into a fresh buffer that the per-shard sub-batches own
+// (helpers may re-execute a shard's transaction after Write returns), and
+// the coordinator intent serializes the ops into its payload buffer. Clear
+// may therefore recycle the arena immediately; the contract is pinned by
+// TestWriteBatchArenaReuse and the pipelined-connection race smoke in
+// internal/server. A batch still must not be MUTATED concurrently with a
+// Write that was handed the same batch from another goroutine.
 type WriteBatch struct {
-	ops []batchOp
+	ops []redodb.Op
 	buf []byte // arena backing every queued key and value
-}
-
-type batchOp struct {
-	key, val []byte
-	del      bool
 }
 
 // own snapshots p into the batch arena. The full slice expression caps the
@@ -41,12 +36,12 @@ func (b *WriteBatch) own(p []byte) []byte {
 
 // Put queues an insertion/overwrite.
 func (b *WriteBatch) Put(key, value []byte) {
-	b.ops = append(b.ops, batchOp{key: b.own(key), val: b.own(value)})
+	b.ops = append(b.ops, redodb.Op{Key: b.own(key), Val: b.own(value)})
 }
 
 // Delete queues a deletion.
 func (b *WriteBatch) Delete(key []byte) {
-	b.ops = append(b.ops, batchOp{key: b.own(key), del: true})
+	b.ops = append(b.ops, redodb.Op{Key: b.own(key), Del: true})
 }
 
 // Len reports the number of queued operations.
@@ -63,23 +58,33 @@ func (b *WriteBatch) Clear() {
 	b.buf = b.buf[:0]
 }
 
-// split partitions ops into per-shard redodb batches (nil for untouched
-// shards). Later ops on the same key keep their order within the shard's
-// sub-batch, preserving WriteBatch's last-writer-wins semantics.
-func (s *Session) split(ops []batchOp) []*redodb.WriteBatch {
-	subs := make([]*redodb.WriteBatch, len(s.sess))
+// split partitions ops into per-shard sub-batches (nil for untouched
+// shards), copying every key and value once into one buffer the sub-batches
+// own. Later ops on the same key keep their order within the shard's
+// sub-batch, preserving WriteBatch's last-writer-wins semantics. It also
+// reports how many shards the batch touches and the last one it touched.
+func (s *Session) split(ops []redodb.Op) (subs [][]redodb.Op, touched, only int) {
+	size := 0
 	for _, op := range ops {
-		i := s.shardOf(op.key)
-		if subs[i] == nil {
-			subs[i] = &redodb.WriteBatch{}
-		}
-		if op.del {
-			subs[i].Delete(op.key)
-		} else {
-			subs[i].Put(op.key, op.val)
-		}
+		size += len(op.Key) + len(op.Val)
 	}
-	return subs
+	buf := make([]byte, 0, size)
+	own := func(p []byte) []byte {
+		n := len(buf)
+		buf = append(buf, p...)
+		return buf[n:len(buf):len(buf)]
+	}
+	subs = make([][]redodb.Op, len(s.sess))
+	only = -1
+	for _, op := range ops {
+		i := s.shardOf(op.Key)
+		if subs[i] == nil {
+			touched++
+			only = i
+		}
+		subs[i] = append(subs[i], redodb.Op{Key: own(op.Key), Val: own(op.Val), Del: op.Del})
+	}
+	return subs, touched, only
 }
 
 // Write applies the batch atomically and durably.
@@ -92,22 +97,12 @@ func (s *Session) split(ops []batchOp) []*redodb.WriteBatch {
 // an open intent that Open rolls forward, so no execution ever exposes some
 // shards' sub-batches without the others.
 func (s *Session) Write(b *WriteBatch) {
-	ops := make([]batchOp, len(b.ops))
-	copy(ops, b.ops)
-	subs := s.split(ops)
-	touched := 0
-	only := -1
-	for i, sub := range subs {
-		if sub != nil {
-			touched++
-			only = i
-		}
-	}
+	subs, touched, only := s.split(b.ops)
 	switch touched {
 	case 0:
 		return
 	case 1:
-		s.sess[only].Write(subs[only])
+		s.sess[only].Write(subs[only], -1, 0)
 		return
 	}
 
@@ -116,10 +111,10 @@ func (s *Session) Write(b *WriteBatch) {
 	defer db.batchMu.Unlock()
 	seq := db.nextSeq
 	db.nextSeq++
-	db.publishIntent(seq, encodeIntent(ops, nil))
+	db.publishIntent(seq, encodeIntent(b.ops, nil))
 	for i, sub := range subs {
 		if sub != nil {
-			s.sess[i].WriteTagged(sub, tagRoot, seq)
+			s.sess[i].Write(sub, tagRoot, seq)
 		}
 	}
 	// Buffered shards: the cross-shard Sync barrier. Every touched shard

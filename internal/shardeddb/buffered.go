@@ -13,7 +13,8 @@ import (
 //   - One persister for the whole group (a background goroutine when
 //     Options.PersistEvery >= 0, otherwise caller-driven) seals every
 //     shard's in-flight epoch in turn — K fences per cadence instead of
-//     2 fences per operation.
+//     2 fences per operation. It is the only persister goroutine in the
+//     system; redodb seals only on the calling thread.
 //   - Session.Sync is the cross-shard barrier: it waits until the
 //     session's last operation on EVERY shard is durable, so a reader that
 //     synced can never observe a post-crash state missing any of them.
@@ -23,7 +24,6 @@ import (
 //     whole batch to roll-forward or none of it — buffering never turns a
 //     torn batch into a "completed" one (see Write and recoverIntent).
 type bufferedState struct {
-	kick chan struct{}
 	stop chan struct{}
 	done chan struct{}
 }
@@ -46,16 +46,6 @@ func (db *DB) Persist() {
 	}
 }
 
-// nudge wakes the background persister without blocking.
-func (db *DB) nudge() {
-	if db.buf != nil {
-		select {
-		case db.buf.kick <- struct{}{}:
-		default:
-		}
-	}
-}
-
 // Close stops the background persister (after a final group seal). A DB
 // without one needs no Close.
 func (db *DB) Close() {
@@ -68,8 +58,8 @@ func (db *DB) Close() {
 }
 
 // persistLoop is the group persister: one goroutine seals every shard on a
-// timer cadence and whenever a Sync nudges it. A simulated power failure
-// parks it quietly — the harness is about to Crash the group and reopen.
+// timer cadence. A simulated power failure parks it quietly — the harness
+// is about to Crash the group and reopen.
 func (db *DB) persistLoop(every time.Duration) {
 	defer close(db.buf.done)
 	defer func() {
@@ -84,7 +74,6 @@ func (db *DB) persistLoop(every time.Duration) {
 		case <-db.buf.stop:
 			db.Persist()
 			return
-		case <-db.buf.kick:
 		case <-t.C:
 		}
 		db.Persist()
@@ -98,9 +87,9 @@ func (s *Session) Sync() {
 	if !s.db.buffered {
 		return
 	}
-	// Per-shard redodb sessions run caller-driven, so each Sync seals its
-	// shard directly when the watermark lags (and is a load otherwise);
-	// the shared persistMu serializes against the group persister.
+	// Each per-shard Sync seals its shard on this thread when the
+	// watermark lags (and is a load otherwise); the shard's persist lock
+	// serializes it against the group persister.
 	for _, sess := range s.sess {
 		sess.Sync()
 	}

@@ -19,7 +19,13 @@ func bufGroup(shards int) *pmem.Group {
 // watermarks trail until Persist, Sync is the cross-shard barrier, and
 // PutDurable/WriteDurable are durable on return.
 func TestBufferedShardedSemantics(t *testing.T) {
-	g := bufGroup(4)
+	for _, shards := range []int{1, 4} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) { testBufferedSemantics(t, shards) })
+	}
+}
+
+func testBufferedSemantics(t *testing.T, shards int) {
+	g := bufGroup(shards)
 	db := Open(g, bufOpts)
 	if !db.Buffered() {
 		t.Fatal("DB not in buffered mode")
@@ -45,6 +51,11 @@ func TestBufferedShardedSemantics(t *testing.T) {
 		}
 	}
 	s.PutDurable([]byte("durable-key"), []byte("v"))
+	for sh := 0; sh < db.Shards(); sh++ {
+		if db.DurableEpoch(sh) < db.CommittedEpoch(sh) {
+			t.Fatalf("shard %d not durable after PutDurable", sh)
+		}
+	}
 	b := &WriteBatch{}
 	b.Put([]byte("wd-a"), []byte("1"))
 	b.Put([]byte("wd-b"), []byte("2"))
@@ -182,10 +193,17 @@ func TestRecoverIsIdempotentBuffered(t *testing.T) {
 }
 
 // TestBufferedShardedPersisterGoroutine is the group-persister smoke: one
-// background goroutine seals all shards; Sync and WriteDurable complete
-// under it and Close drains cleanly. Run under -race by ci.sh.
+// background goroutine seals all shards; Sync, PutDurable and WriteDurable
+// complete under it, concurrent writers make progress, and Close drains
+// cleanly. Run under -race by ci.sh.
 func TestBufferedShardedPersisterGoroutine(t *testing.T) {
-	g := NewGroup(GroupConfig{Shards: 2, Threads: 2, Buffered: true})
+	for _, shards := range []int{1, 2} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) { testPersisterGoroutine(t, shards) })
+	}
+}
+
+func testPersisterGoroutine(t *testing.T, shards int) {
+	g := NewGroup(GroupConfig{Shards: shards, Threads: 2, Buffered: true})
 	db := Open(g, Options{Threads: 2, Buffered: true, PersistEvery: 50 * time.Microsecond})
 	defer db.Close()
 	done := make(chan struct{})
@@ -205,7 +223,12 @@ func TestBufferedShardedPersisterGoroutine(t *testing.T) {
 		batch := &WriteBatch{}
 		batch.Put([]byte(fmt.Sprintf("x%02d", b)), []byte{byte(b)})
 		batch.Put([]byte(fmt.Sprintf("y%02d", b)), []byte{byte(b)})
-		s.Write(batch)
+		if b%2 == 0 {
+			s.Write(batch)
+		} else {
+			s.WriteDurable(batch)
+		}
+		s.PutDurable([]byte(fmt.Sprintf("p%02d", b%16)), []byte{byte(b)})
 	}
 	s.Sync()
 	<-done

@@ -54,7 +54,7 @@ const (
 
 // encodeIntent serializes the intent payload: a flags word, the optional
 // receipt header, then the batch ops (encodeBatch format).
-func encodeIntent(ops []batchOp, rcpt *intentReceipt) []byte {
+func encodeIntent(ops []redodb.Op, rcpt *intentReceipt) []byte {
 	var hdr [5 * 8]byte
 	n := 8
 	if rcpt != nil {
@@ -70,7 +70,7 @@ func encodeIntent(ops []batchOp, rcpt *intentReceipt) []byte {
 
 // decodeIntent parses an intent payload (CRC already verified). Structural
 // violations are corruption the checksum failed to catch.
-func decodeIntent(buf []byte, shards int) ([]batchOp, *intentReceipt) {
+func decodeIntent(buf []byte, shards int) ([]redodb.Op, *intentReceipt) {
 	if len(buf) < 8 {
 		panic(pmem.Corruptf("shardeddb", "intent payload shorter than its header"))
 	}
@@ -106,12 +106,12 @@ func (db *DB) maxPayloadBytes() uint64 {
 // encodeBatch serializes a batch into the intent payload format: per op, a
 // flags word (1 = delete), the key length and bytes, and for puts the value
 // length and bytes.
-func encodeBatch(ops []batchOp) []byte {
+func encodeBatch(ops []redodb.Op) []byte {
 	var size int
 	for _, op := range ops {
-		size += 16 + len(op.key)
-		if !op.del {
-			size += 8 + len(op.val)
+		size += 16 + len(op.Key)
+		if !op.Del {
+			size += 8 + len(op.Val)
 		}
 	}
 	buf := make([]byte, 0, size)
@@ -121,16 +121,16 @@ func encodeBatch(ops []batchOp) []byte {
 		buf = append(buf, w[:]...)
 	}
 	for _, op := range ops {
-		if op.del {
+		if op.Del {
 			putU64(1)
 		} else {
 			putU64(0)
 		}
-		putU64(uint64(len(op.key)))
-		buf = append(buf, op.key...)
-		if !op.del {
-			putU64(uint64(len(op.val)))
-			buf = append(buf, op.val...)
+		putU64(uint64(len(op.Key)))
+		buf = append(buf, op.Key...)
+		if !op.Del {
+			putU64(uint64(len(op.Val)))
+			buf = append(buf, op.Val...)
 		}
 	}
 	return buf
@@ -139,8 +139,8 @@ func encodeBatch(ops []batchOp) []byte {
 // decodeBatch parses an intent payload. The payload passed its CRC, so any
 // structural violation means the record was damaged in a way the checksum
 // did not catch — reported as corruption, never a panic or a wrong answer.
-func decodeBatch(buf []byte) []batchOp {
-	var ops []batchOp
+func decodeBatch(buf []byte) []redodb.Op {
+	var ops []redodb.Op
 	u64 := func() uint64 {
 		if len(buf) < 8 {
 			panic(pmem.Corruptf("shardeddb", "truncated intent payload"))
@@ -162,10 +162,10 @@ func decodeBatch(buf []byte) []batchOp {
 		if flags > 1 {
 			panic(pmem.Corruptf("shardeddb", "intent op flags %d out of range", flags))
 		}
-		op := batchOp{del: flags == 1}
-		op.key = append([]byte(nil), take(u64())...)
-		if !op.del {
-			op.val = append([]byte(nil), take(u64())...)
+		op := redodb.Op{Del: flags == 1}
+		op.Key = take(u64())
+		if !op.Del {
+			op.Val = take(u64())
 		}
 		ops = append(ops, op)
 	}
@@ -325,26 +325,18 @@ func (db *DB) recoverIntent() {
 // skipping shards whose tag shows the sub-batch already applied. When the
 // intent carries a detectable receipt, the home shard's sub-batch (possibly
 // empty — the home shard is chosen by client id, not by the batch's keys) is
-// applied with WriteTaggedDetectable so the receipt re-records atomically
-// with it; a home shard that already holds the receipt stores only the tag.
-func (db *DB) applyBySub(ops []batchOp, seq uint64, tags []uint64, rcpt *intentReceipt) {
+// applied with WriteDetectable so the receipt re-records atomically with it;
+// a home shard that already holds the receipt stores only the tag.
+func (db *DB) applyBySub(ops []redodb.Op, seq uint64, tags []uint64, rcpt *intentReceipt) {
 	s := db.Session(0)
-	subs := s.split(ops)
+	subs, _, _ := s.split(ops)
 	for shard, sub := range subs {
-		if tags[shard] == seq {
-			continue
+		switch {
+		case tags[shard] == seq:
+		case rcpt != nil && shard == rcpt.home:
+			s.sess[shard].WriteDetectable(sub, tagRoot, seq, rcpt.client, rcpt.seq, rcpt.digest)
+		case sub != nil:
+			s.sess[shard].Write(sub, tagRoot, seq)
 		}
-		if rcpt != nil && shard == rcpt.home {
-			hb := sub
-			if hb == nil {
-				hb = &redodb.WriteBatch{}
-			}
-			s.sess[shard].WriteTaggedDetectable(hb, tagRoot, seq, rcpt.client, rcpt.seq, rcpt.digest)
-			continue
-		}
-		if sub == nil {
-			continue
-		}
-		s.sess[shard].WriteTagged(sub, tagRoot, seq)
 	}
 }

@@ -11,14 +11,15 @@ import (
 // cross-shard batches: after recovery each batch must be fully applied or
 // fully absent on EVERY shard — a crash between the per-shard commits must
 // never expose a torn batch. This is exactly the hole the coordinator's
-// intent record exists to close.
+// intent record exists to close. One shard is the plain RedoDB batch: one
+// transaction, no coordinator.
 func TestCrossShardBatchCrashAtomicity(t *testing.T) {
 	const batches = 8
 	const perBatch = 6 // "a".."f" prefixes scatter over the shards
 	key := func(b, i int) []byte {
 		return []byte(fmt.Sprintf("%c-batch%02d", 'a'+i, b))
 	}
-	for _, shards := range []int{2, 8} {
+	for _, shards := range []int{1, 2, 8} {
 		for fail := int64(20); ; fail += 97 {
 			g := NewGroup(GroupConfig{Shards: shards, Threads: 1, Mode: pmem.Strict})
 			completed := 0

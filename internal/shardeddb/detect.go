@@ -30,21 +30,6 @@ func (db *DB) homeShard(client uint64) int {
 	return int((client * 0x9e3779b97f4a7c15 >> 33) % uint64(len(db.shards)))
 }
 
-// batchDigest fingerprints the full cross-shard batch. Every path that
-// receipts a batch — first attempt, retry, roll-forward — derives the digest
-// from the same op list, so they agree on the request's identity.
-func batchDigest(ops []batchOp) uint64 {
-	rb := &redodb.WriteBatch{}
-	for _, op := range ops {
-		if op.del {
-			rb.Delete(op.key)
-		} else {
-			rb.Put(op.key, op.val)
-		}
-	}
-	return redodb.BatchDigest(rb)
-}
-
 // PutDetectable stores (key, value) exactly once for request (client, seq),
 // reporting whether this call applied it (false: deduplicated).
 func (s *Session) PutDetectable(client, seq uint64, key, value []byte) bool {
@@ -104,30 +89,23 @@ func (s *Session) DetectStats(client uint64) (receipts, maxSeq, acked uint64) {
 // whose tag already names the batch are skipped; a home shard that holds the
 // receipt but missed the tag stores just the tag).
 func (s *Session) WriteDetectable(b *WriteBatch, client, seq uint64) bool {
-	ops := make([]batchOp, len(b.ops))
-	copy(ops, b.ops)
-	digest := batchDigest(ops)
-	subs := s.split(ops)
-	touched := 0
-	only := -1
-	for i, sub := range subs {
-		if sub != nil {
-			touched++
-			only = i
-		}
-	}
+	// Every path that receipts a batch — first attempt, retry, roll-forward
+	// — digests the same full op list, so they agree on the request's
+	// identity.
+	digest := redodb.BatchDigest(b.ops)
+	subs, touched, only := s.split(b.ops)
 	db := s.db
 	home := db.homeShard(client)
 	switch touched {
 	case 0:
 		// An empty batch still consumes the seq: record a bare receipt on
 		// the home shard so WasApplied answers for it.
-		return s.sess[home].WriteTaggedDetectable(&redodb.WriteBatch{}, -1, 0, client, seq, digest)
+		return s.sess[home].WriteDetectable(nil, -1, 0, client, seq, digest)
 	case 1:
 		// Single-shard fast path: receipt on the touched shard, no
 		// coordinator involvement. A retry splits identically, so it probes
 		// the same shard.
-		return s.sess[only].WriteTaggedDetectable(subs[only], -1, 0, client, seq, digest)
+		return s.sess[only].WriteDetectable(subs[only], -1, 0, client, seq, digest)
 	}
 
 	db.batchMu.Lock()
@@ -140,20 +118,14 @@ func (s *Session) WriteDetectable(b *WriteBatch, client, seq uint64) bool {
 	}
 	bseq := db.nextSeq
 	db.nextSeq++
-	db.publishIntent(bseq, encodeIntent(ops, &intentReceipt{
+	db.publishIntent(bseq, encodeIntent(b.ops, &intentReceipt{
 		client: client, seq: seq, digest: digest, home: home,
 	}))
 	for i, sub := range subs {
 		if i == home {
-			hb := sub
-			if hb == nil {
-				hb = &redodb.WriteBatch{}
-			}
-			s.sess[i].WriteTaggedDetectable(hb, tagRoot, bseq, client, seq, digest)
-			continue
-		}
-		if sub != nil {
-			s.sess[i].WriteTagged(sub, tagRoot, bseq)
+			s.sess[i].WriteDetectable(sub, tagRoot, bseq, client, seq, digest)
+		} else if sub != nil {
+			s.sess[i].Write(sub, tagRoot, bseq)
 		}
 	}
 	// Buffered shards: persist every touched shard (the home shard always

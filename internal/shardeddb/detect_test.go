@@ -5,10 +5,17 @@ import (
 	"testing"
 
 	"repro/internal/pmem"
+	"repro/internal/redodb"
 )
 
 func TestShardedDetectableOps(t *testing.T) {
-	g := NewGroup(GroupConfig{Shards: 4, Threads: 1})
+	for _, shards := range []int{1, 4} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) { testDetectableOps(t, shards) })
+	}
+}
+
+func testDetectableOps(t *testing.T, shards int) {
+	g := NewGroup(GroupConfig{Shards: shards, Threads: 1})
 	s := Open(g, Options{Threads: 1}).Session(0)
 	const client = 11
 
@@ -28,16 +35,21 @@ func TestShardedDetectableOps(t *testing.T) {
 		t.Fatal("retried DeleteDetectable applied twice")
 	}
 
-	// Cross-shard detectable batch: scattered keys, then a retry.
+	// Cross-shard detectable batch: scattered keys and a delete, then a
+	// retry.
 	b := &WriteBatch{}
 	for i := 0; i < 6; i++ {
 		b.Put([]byte(fmt.Sprintf("%c-det", 'a'+i)), []byte("w"))
 	}
+	b.Delete([]byte("z-det"))
 	if !s.WriteDetectable(b, client, 3) {
 		t.Fatal("first WriteDetectable deduplicated")
 	}
 	if s.WriteDetectable(b, client, 3) {
 		t.Fatal("retried WriteDetectable applied twice")
+	}
+	if r, _, _ := s.DetectStats(client); r != 3 {
+		t.Fatalf("receipts = %d after the batch, want 3 (a batch is one request)", r)
 	}
 	for i := 0; i < 6; i++ {
 		if !s.Has([]byte(fmt.Sprintf("%c-det", 'a'+i))) {
@@ -170,13 +182,13 @@ func TestShardedDetectableCrashExactlyOnce(t *testing.T) {
 // TestIntentReceiptRoundTrip exercises the flagged intent payload encoding,
 // including the home shard carrying no operations of its own.
 func TestIntentReceiptRoundTrip(t *testing.T) {
-	ops := []batchOp{
-		{key: []byte("k1"), val: []byte("v1")},
-		{key: []byte("k2"), del: true},
+	ops := []redodb.Op{
+		{Key: []byte("k1"), Val: []byte("v1")},
+		{Key: []byte("k2"), Del: true},
 	}
 	plain := encodeIntent(ops, nil)
 	gotOps, rcpt := decodeIntent(plain, 4)
-	if rcpt != nil || len(gotOps) != 2 || string(gotOps[0].key) != "k1" || !gotOps[1].del {
+	if rcpt != nil || len(gotOps) != 2 || string(gotOps[0].Key) != "k1" || !gotOps[1].Del {
 		t.Fatalf("plain round trip = %+v, %+v", gotOps, rcpt)
 	}
 	want := &intentReceipt{client: 7, seq: 42, digest: 0xdead, home: 3}

@@ -3,6 +3,8 @@ package shardeddb
 import (
 	"bytes"
 	"sort"
+
+	"repro/internal/redodb"
 )
 
 // Iterator iterates a cross-shard snapshot in ascending key order. Each
@@ -10,12 +12,8 @@ import (
 // transaction); the merge is validated so that every cross-shard batch is
 // observed all-or-nothing.
 type Iterator struct {
-	pairs []kv
+	pairs []redodb.KV
 	pos   int
-}
-
-type kv struct {
-	key, val []byte
 }
 
 // snapAttempts is how many optimistic snapshot rounds NewIterator tries
@@ -50,25 +48,23 @@ func (s *Session) NewIterator() *Iterator {
 
 // collect snapshots every shard, returning the merged pairs and the largest
 // per-shard batch tag observed.
-func (s *Session) collect() ([]kv, uint64) {
-	var pairs []kv
+func (s *Session) collect() ([]redodb.KV, uint64) {
+	var pairs []redodb.KV
 	var maxTag uint64
 	for _, sh := range s.sess {
-		it, tag := sh.NewIteratorTagged(tagRoot)
+		var tag uint64
+		pairs, tag = sh.SnapshotTagged(pairs, tagRoot)
 		if tag > maxTag {
 			maxTag = tag
-		}
-		for it.Next() {
-			pairs = append(pairs, kv{key: it.Key(), val: it.Value()})
 		}
 	}
 	return pairs, maxTag
 }
 
-func newIterator(pairs []kv) *Iterator {
+func newIterator(pairs []redodb.KV) *Iterator {
 	// Shards partition the key space, so a sort of the concatenation is a
 	// merge of already-sorted runs with no duplicates.
-	sort.Slice(pairs, func(i, j int) bool { return bytes.Compare(pairs[i].key, pairs[j].key) < 0 })
+	sort.Slice(pairs, func(i, j int) bool { return bytes.Compare(pairs[i].Key, pairs[j].Key) < 0 })
 	return &Iterator{pairs: pairs, pos: -1}
 }
 
@@ -86,7 +82,7 @@ func (it *Iterator) Next() bool {
 // such a key exists.
 func (it *Iterator) Seek(target []byte) bool {
 	i := sort.Search(len(it.pairs), func(i int) bool {
-		return bytes.Compare(it.pairs[i].key, target) >= 0
+		return bytes.Compare(it.pairs[i].Key, target) >= 0
 	})
 	it.pos = i
 	return i < len(it.pairs)
@@ -96,10 +92,10 @@ func (it *Iterator) Seek(target []byte) bool {
 func (it *Iterator) Valid() bool { return it.pos >= 0 && it.pos < len(it.pairs) }
 
 // Key returns the current key; only valid when Valid().
-func (it *Iterator) Key() []byte { return it.pairs[it.pos].key }
+func (it *Iterator) Key() []byte { return it.pairs[it.pos].Key }
 
 // Value returns the current value; only valid when Valid().
-func (it *Iterator) Value() []byte { return it.pairs[it.pos].val }
+func (it *Iterator) Value() []byte { return it.pairs[it.pos].Val }
 
 // Len reports the number of pairs in the snapshot.
 func (it *Iterator) Len() int { return len(it.pairs) }

@@ -1,11 +1,14 @@
-// Package shardeddb implements a sharded RedoDB: a LevelDB-style KV
-// front-end that hash-partitions keys across K independent RedoDB instances,
-// each backed by its own simulated pmem pool. The paper's RedoDB serializes
-// every update through one flat-combining instance, capping update
-// throughput near single-writer speed; sharding keeps each combining
-// instance small and runs many of them in parallel, the scaling direction
-// suggested by both flat-combining persistent structures (Rusanovsky et al.)
-// and delay-free persistence (Ben-David et al.).
+// Package shardeddb is RedoDB's KV session API — the only one: a
+// LevelDB-style front-end (Put/Get/Delete/WriteBatch/Iterator, with durable
+// and detectable variants) that hash-partitions keys across K independent
+// per-shard engines (internal/redodb), each backed by its own simulated
+// pmem pool. K=1 is the paper's RedoDB: one RedoOpt-PTM combining instance,
+// at exactly its persistence cost (TestPutPWBParityWithUnsharded). The
+// paper's RedoDB serializes every update through that one flat-combining
+// instance, capping update throughput near single-writer speed; more shards
+// keep each combining instance small and run many of them in parallel, the
+// scaling direction suggested by both flat-combining persistent structures
+// (Rusanovsky et al.) and delay-free persistence (Ben-David et al.).
 //
 // Single-key operations (Put/Get/Has/Delete) route to one shard and inherit
 // RedoDB's bounded wait-free progress unchanged — no cross-shard
@@ -25,28 +28,19 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/core/redo"
 	"repro/internal/obs"
 	"repro/internal/pmem"
 	"repro/internal/redodb"
 )
 
-const (
-	// mapRoot is the redodb root slot holding each shard's hash map.
-	mapRoot = 0
-	// tagRoot is the root slot holding each shard's last applied batch
-	// sequence number (the WriteTagged tag).
-	tagRoot = 1
-)
+// tagRoot is the root slot holding each shard's last applied batch sequence
+// number (the redodb.Session.Write tag).
+const tagRoot = 1
 
 // Options parameterizes Open.
 type Options struct {
 	// Threads is the number of concurrent sessions (thread ids).
 	Threads int
-	// Variant selects the per-shard construction (default RedoOpt-PTM).
-	Variant redo.Variant
-	// RingSize forwards to the per-shard engines (default 128).
-	RingSize int
 	// Buffered selects relaxed durability on every shard (group commit
 	// with per-shard durable-epoch watermarks — see buffered.go). The
 	// shard pools need Threads+2 regions (GroupConfig.Buffered).
@@ -55,10 +49,6 @@ type Options struct {
 	// 0 means a 200µs default, negative disables the goroutine
 	// (caller-driven: Sync/Persist seal epochs on the calling thread).
 	PersistEvery time.Duration
-	// LegacyAlloc formats every shard's fresh heap with the legacy
-	// power-of-two allocator (the Fig-8 space baseline) instead of the
-	// per-arena allocator.
-	LegacyAlloc bool
 }
 
 // GroupConfig describes the pool geometry NewGroup builds for a sharded DB:
@@ -145,16 +135,11 @@ func Open(g *pmem.Group, opts Options) *DB {
 	g.Pool(0).TraceEvent(obs.KindRecoveryBegin, -1, -1, 0, 0, 0)
 	db.shards = make([]*redodb.DB, g.Len()-1)
 	for i := range db.shards {
+		// The shards run no persisters of their own: the group-level
+		// loop (or the caller) seals every shard in turn.
 		db.shards[i] = redodb.Open(g.Pool(i+1), redodb.Options{
-			Threads:     opts.Threads,
-			RootSlot:    mapRoot,
-			Variant:     opts.Variant,
-			RingSize:    opts.RingSize,
-			Buffered:    opts.Buffered,
-			LegacyAlloc: opts.LegacyAlloc,
-			// The shards never run their own persisters: the group-level
-			// loop (or the caller) seals every shard in turn.
-			PersistEvery: -1,
+			Threads:  opts.Threads,
+			Buffered: opts.Buffered,
 		})
 	}
 	db.recoverIntent()
@@ -165,7 +150,6 @@ func Open(g *pmem.Group, opts Options) *DB {
 			every = 200 * time.Microsecond
 		}
 		db.buf = &bufferedState{
-			kick: make(chan struct{}, 1),
 			stop: make(chan struct{}),
 			done: make(chan struct{}),
 		}

@@ -67,34 +67,45 @@ func TestPutGetDeleteAcrossShards(t *testing.T) {
 }
 
 func TestCrossShardBatchAndIterator(t *testing.T) {
-	db, _ := openTest(t, 8)
-	s := db.Session(0)
-	b := &WriteBatch{}
-	for i := 0; i < 40; i++ {
-		b.Put([]byte(fmt.Sprintf("batch%03d", i)), []byte{byte(i)})
-	}
-	b.Delete([]byte("batch007"))
-	s.Write(b)
-	if got := s.Len(); got != 39 {
-		t.Fatalf("Len=%d want 39", got)
-	}
-	it := s.NewIterator()
-	if it.Len() != 39 {
-		t.Fatalf("iterator sees %d pairs, want 39", it.Len())
-	}
-	var prev []byte
-	for it.Next() {
-		if prev != nil && bytes.Compare(prev, it.Key()) >= 0 {
-			t.Fatalf("iterator keys out of order: %q then %q", prev, it.Key())
+	for _, shards := range []int{1, 8} {
+		db, _ := openTest(t, shards)
+		s := db.Session(0)
+		b := &WriteBatch{}
+		for i := 0; i < 40; i++ {
+			b.Put([]byte(fmt.Sprintf("batch%03d", i)), []byte{byte(i)})
 		}
-		prev = append(prev[:0], it.Key()...)
-	}
-	if it.Seek([]byte("batch020")) {
-		if string(it.Key()) != "batch020" {
-			t.Fatalf("Seek landed on %q", it.Key())
+		b.Delete([]byte("batch007"))
+		s.Write(b)
+		if got := s.Len(); got != 39 {
+			t.Fatalf("shards=%d: Len=%d want 39", shards, got)
 		}
-	} else {
-		t.Fatal("Seek(batch020) found nothing")
+		it := s.NewIterator()
+		// The iterator is a snapshot: later writes do not disturb it.
+		s.Put([]byte("batch999"), []byte("late"))
+		s.Put([]byte("batch000"), []byte("late"))
+		s.Delete([]byte("batch001"))
+		if it.Len() != 39 {
+			t.Fatalf("shards=%d: iterator sees %d pairs, want 39", shards, it.Len())
+		}
+		var prev []byte
+		for it.Next() {
+			if prev != nil && bytes.Compare(prev, it.Key()) >= 0 {
+				t.Fatalf("shards=%d: iterator keys out of order: %q then %q", shards, prev, it.Key())
+			}
+			if string(it.Key()) == "batch000" && it.Value()[0] != 0 {
+				t.Fatalf("shards=%d: snapshot saw a later overwrite", shards)
+			}
+			prev = append(prev[:0], it.Key()...)
+		}
+		if it.Valid() {
+			t.Fatalf("shards=%d: iterator valid after exhaustion", shards)
+		}
+		if !it.Seek([]byte("batch020")) || string(it.Key()) != "batch020" {
+			t.Fatalf("shards=%d: Seek(batch020) did not land on batch020", shards)
+		}
+		if it.Seek([]byte("zzz")) {
+			t.Fatalf("shards=%d: Seek(zzz) found a key", shards)
+		}
 	}
 }
 
@@ -128,13 +139,14 @@ func TestSingleShardBatchBypassesCoordinator(t *testing.T) {
 
 // Acceptance criterion: sharding must not tax the single-key hot path.
 // pwbs/tx for a single-key Put through the sharded front-end must stay
-// within 10% of unsharded RedoDB (same overwrite workload, so no resize
-// noise on either side).
+// within 10% of the per-shard engine driven directly (same overwrite
+// workload, so no resize noise on either side), and one shard must cost
+// exactly what the engine costs: pwbs and fences per tx equal.
 func TestPutPWBParityWithUnsharded(t *testing.T) {
 	const keys = 128
 	const rounds = 8
 
-	measure := func(put func(k, v []byte), stats func() pmem.StatsSnapshot) float64 {
+	measure := func(put func(k, v []byte), stats func() pmem.StatsSnapshot) (pwbs, fences float64) {
 		fill := func(val byte) {
 			for i := 0; i < keys; i++ {
 				put([]byte(fmt.Sprintf("parity%04d", i)), bytes.Repeat([]byte{val}, 24))
@@ -147,20 +159,27 @@ func TestPutPWBParityWithUnsharded(t *testing.T) {
 			fill(byte(2 + r))
 		}
 		delta := stats().Sub(before)
-		return float64(delta.PWBs) / float64(keys*rounds)
+		return float64(delta.PWBs) / float64(keys*rounds), float64(delta.Fences()) / float64(keys*rounds)
 	}
 
 	plainPool := pmem.New(pmem.Config{Mode: pmem.Strict, RegionWords: 1 << 16, Regions: 2})
 	plain := redodb.Open(plainPool, redodb.Options{Threads: 1}).Session(0)
-	plainPWBs := measure(plain.Put, plainPool.Stats)
+	plainPWBs, plainFences := measure(plain.Put, plainPool.Stats)
 
-	g := NewGroup(GroupConfig{Shards: 8, Threads: 1, ShardWords: 1 << 16, Mode: pmem.Strict})
-	sharded := Open(g, Options{Threads: 1}).Session(0)
-	shardedPWBs := measure(sharded.Put, g.Stats)
+	for _, shards := range []int{1, 8} {
+		g := NewGroup(GroupConfig{Shards: shards, Threads: 1, ShardWords: 1 << 16, Mode: pmem.Strict})
+		sharded := Open(g, Options{Threads: 1}).Session(0)
+		shardedPWBs, shardedFences := measure(sharded.Put, g.Stats)
 
-	ratio := shardedPWBs / plainPWBs
-	t.Logf("pwbs/tx: unsharded=%.2f sharded(8)=%.2f ratio=%.3f", plainPWBs, shardedPWBs, ratio)
-	if ratio > 1.10 || ratio < 0.90 {
-		t.Fatalf("sharded Put pwbs/tx %.2f not within 10%% of unsharded %.2f", shardedPWBs, plainPWBs)
+		ratio := shardedPWBs / plainPWBs
+		t.Logf("pwbs/tx: unsharded=%.3f sharded(%d)=%.3f ratio=%.3f; fences/tx: %.3f vs %.3f",
+			plainPWBs, shards, shardedPWBs, ratio, plainFences, shardedFences)
+		if shards == 1 && (shardedPWBs != plainPWBs || shardedFences != plainFences) {
+			t.Fatalf("one shard costs %.3f pwbs + %.3f fences per tx, the engine %.3f + %.3f",
+				shardedPWBs, shardedFences, plainPWBs, plainFences)
+		}
+		if ratio > 1.10 || ratio < 0.90 {
+			t.Fatalf("sharded(%d) Put pwbs/tx %.2f not within 10%% of unsharded %.2f", shards, shardedPWBs, plainPWBs)
+		}
 	}
 }
